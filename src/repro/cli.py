@@ -715,7 +715,7 @@ def _run_stats_stream(args: argparse.Namespace) -> int:
         f"{stats['resolve_parked']} parked, "
         f"{stats['resolve_rebound']} rebound"
     )
-    print(f"  inferred-edge log      : {stats['inferred_edge_log']} edges")
+    print(f"  inferred-edge log rows : {stats['inferred_edge_log']}")
     if stats.get("retire_enabled"):
         print("  retirement:")
         print(f"    retired transactions : {stats['retired_transactions']}")

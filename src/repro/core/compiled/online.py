@@ -21,8 +21,9 @@ single-record batch, so no :class:`~repro.core.model.Operation` or
   ``(writer session, key)`` writer list, allocated when the first write
   registers), exactly like the batch
   :func:`~repro.core.compiled.checkers.saturate_cc_compiled`;
-* inferred edges are recorded in the same packed ``int -> int`` logs and
-  replayed in batch order at :meth:`finalize`, so verdicts, violation
+* inferred edges are appended, one row per emission, to columnar
+  :class:`~repro.core.compiled.kernels.EdgeLog` logs that reduce once and
+  replay in batch order at :meth:`finalize`, so verdicts, violation
   kinds, witnesses, and inferred-edge counts are byte-identical to every
   batch engine (property-tested in ``tests/test_online_compiled.py`` and
   ``tests/test_matrix.py``).
@@ -73,7 +74,7 @@ import pickle
 import time
 from array import array
 from bisect import bisect_left
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.cc import causality_cycles, causality_labels
@@ -101,7 +102,7 @@ from repro.core.compiled.retire import (
     stable_digest,
 )
 from repro.graph.csr import freeze_packed
-from repro.graph.digraph import EDGE_MASK, EDGE_SHIFT, pack_edge
+from repro.graph.digraph import EDGE_SHIFT, pack_edge
 from repro.histories.formats._raw import DEFAULT_BATCH_OPS, RecordBatch
 
 try:  # pragma: no cover - exercised implicitly when numpy is present
@@ -130,41 +131,21 @@ ALL_LEVELS: Tuple[IsolationLevel, ...] = (
 #: layout as the compiled IR's unique-writes index).
 _VALUE_SHIFT = 32
 
-#: Bit budget per sort-key component of the packed inferred-edge logs; see
-#: :mod:`repro.stream.incremental` for the derivation.
-_KEY_SHIFT = 24
+#: One attempt in an edge-log ``sub`` column: ``(attempt << 32) | (kid + 1)``.
+_ATTEMPT_STEP = 1 << EDGE_SHIFT
 
-#: Checkpoint file header: magic + format version.  Version 2: the
-#: ``_cc_t2_rows`` state stores writers pre-shifted by ``EDGE_SHIFT`` (the
-#: saturation packs edges with one bitwise-or); version-1 checkpoints would
-#: resume with silently wrong pointer state, so they are rejected.
-#: Version 3: the checker pickles the ``_folded_read_wids`` set behind the
-#: duplicate-write-after-fold diagnostic (and the ``_fold_laps`` profile
-#: slot); version-2 checkpoints lack both attributes and would resume with
-#: the diagnostic silently disabled, so they are rejected.
-#: Version 4: CC edge-emission probes are deferred to a per-batch flush,
-#: adding the ``_cc_probe_pending`` queue and the ``_wb_bucket`` /
-#: ``_wb_sidx`` / ``_wb_tid`` writer-registry arrays the vectorized flush
-#: sorts; version-3 checkpoints lack all four and would resume with the
-#: flush silently skipping registered writers, so they are rejected.
-#: Version 5: watermark-based retirement adds the retirement bases
-#: (``_txns_base`` / ``_sess_base`` / ``_next_tid``), the latest-writer pin
-#: map, and the segment store.  Version-4 checkpoints are still *loadable*:
-#: they predate retirement entirely, so ``__setstate__`` injects the
-#: retirement-disabled defaults (base 0, epoch 0) and the resume behaves
-#: exactly like the run that wrote them.
-#: Version 6: the resident transaction heap is columnar -- flat parallel
-#: arrays indexed by ``tid - _txns_base`` (``_t_sid`` / ``_t_sidx`` /
-#: ``_t_flags`` / ..., packed final-write and first-read-per-writer runs),
-#: a :class:`~repro.core.compiled.kernels.ParkQueue` for ``_pending``, and
-#: flat row-major clock matrices (``_hb_data`` / ``_sc_data``) instead of
-#: the ``_hb`` dict and ``List[List[int]]`` session clocks.  Version-4 and
-#: version-5 checkpoints (which carry ``_Txn`` / ``_Read`` object state)
-#: are still loadable: ``__setstate__`` migrates them into the columns via
-#: ``_migrate_legacy_state`` and the resume is byte-identical.
+#: Checkpoint file header: magic + format version.  Only the current
+#: version loads; every older one is refused with a one-line diagnostic
+#: (an older checkpoint resumes only with the release that wrote it).
+#: Version 2 pre-shifted the ``_cc_t2_rows`` writers; version 3 added the
+#: duplicate-write-after-fold set; version 4 deferred the CC probes to a
+#: per-batch flush; version 5 added watermark-based retirement; version 6
+#: made the resident transaction heap columnar.  Version 7: the four
+#: inferred-edge logs are columnar :class:`~repro.core.compiled.kernels.EdgeLog`
+#: rows (packed edge, ``rank``, ``sub``) instead of ``edge -> meta`` dicts,
+#: and retirement segments spill the same columns as raw bytes.
 CHECKPOINT_MAGIC = b"AWDITCKPT"
-CHECKPOINT_VERSION = 6
-_LOADABLE_CHECKPOINT_VERSIONS = (4, 5, 6)
+CHECKPOINT_VERSION = 7
 
 #: Bytes of file prefix hashed into the checkpoint source fingerprint.
 _FINGERPRINT_PREFIX = 1 << 16
@@ -185,19 +166,13 @@ def source_fingerprint(path: str, prefix_len: Optional[int] = None) -> dict:
     return {"prefix_len": length, "prefix_sha256": digest}
 
 
-def _sort_base(sid: int, sidx: int) -> int:
-    """The sort-key base for transaction (sid, sidx); add the attempt number."""
-    return ((sid << _KEY_SHIFT) | sidx) << _KEY_SHIFT
-
-
 class _Read:
     """A read awaiting (or holding) its write-read resolution, all-int form.
 
     Only reads routed through the general slow path (own reads, aborted or
     non-final writers) materialize as ``_Read`` objects, held in the
     ``_live_reads`` side table until their transaction resolves; the fast
-    and clean paths never allocate one.  The class also remains the pickle
-    form parked reads take inside v4/v5 checkpoints.
+    and clean paths never allocate one.
     """
 
     __slots__ = ("index", "kid", "vid", "own_prev", "writer", "writer_index", "bad")
@@ -210,81 +185,6 @@ class _Read:
         self.writer: Optional[int] = None
         self.writer_index = -1
         self.bad = False
-
-
-class _Txn:
-    """Legacy transaction summary -- the pickle form inside v4/v5 checkpoints.
-
-    The live core stores transaction summaries as flat columns (see
-    ``CompiledIncrementalChecker.__init__``); this class exists so old
-    checkpoints still unpickle, after which ``_migrate_legacy_state``
-    decomposes each instance into the columns and drops it.
-    """
-
-    __slots__ = (
-        "tid",
-        "sid",
-        "sidx",
-        "committed",
-        "label",
-        "keys_written",
-        "keys_written_ordered",
-        "reads",
-        "unresolved",
-        "resolved",
-        "rebindable",
-        "slow_reads",
-        "cc_done",
-        "cc_pending",
-        "cc_registered",
-        "good_reads",
-        "wr_first_any",
-        "wr_first_good",
-        "prefold",
-    )
-
-    def __init__(
-        self, tid: int, sid: int, sidx: int, committed: bool, label: Optional[str]
-    ) -> None:
-        self.tid = tid
-        self.sid = sid
-        self.sidx = sidx
-        self.committed = committed
-        self.label = label
-        #: Both key-written views share one object per transaction: the fold
-        #: assigns its ``final_write`` dict (kid -> final write index, keys
-        #: in first-write order) to both slots -- iteration and membership
-        #: behave exactly like the tuple/frozenset pair they replaced, and
-        #: checkpoints written before the change (which carry the pair)
-        #: still load.
-        self.keys_written: "frozenset | Dict[int, int]" = frozenset()
-        self.keys_written_ordered: "Tuple[int, ...] | Dict[int, int]" = ()
-        self.reads: List[_Read] = []
-        self.unresolved = 0
-        self.resolved = False
-        #: Retained for checkpoint compatibility; the rebind table it used
-        #: to guard is gone (supersede waiters are reconstructed from the
-        #: park queue instead).
-        self.rebindable = False
-        #: Count of this transaction's reads that took the scalar
-        #: ``_classify`` path (own reads, non-final or aborted writers,
-        #: rebinds).  Zero at fold time means every bound read is a clean
-        #: external committed final-write read -- ``_on_resolved`` then
-        #: builds its fold structures with comprehensions instead of the
-        #: per-read re-checking loop.
-        self.slow_reads = 0
-        self.cc_done = False
-        self.cc_pending = 0
-        self.cc_registered = False
-        self.good_reads: List[Tuple[int, int, int]] = []
-        self.wr_first_any: Dict[int, int] = {}
-        self.wr_first_good: Dict[int, int] = {}
-        #: Fold-time structures precomputed at consume for a *clean* parked
-        #: transaction (every read's eventual binding already known to the
-        #: resolve kernel); consumed and cleared by ``_on_resolved``.  Clean
-        #: transactions always fold within their own batch, so this never
-        #: survives into a checkpoint.
-        self.prefold: Optional[tuple] = None
 
 
 class CompiledIncrementalChecker:
@@ -495,11 +395,12 @@ class CompiledIncrementalChecker:
         self._resolve_vectorized = 0
         self._resolve_scalar = 0
 
-        # Recorded inferred edges, replayed in batch order at finalize.
-        self._rc_log: Dict[int, int] = {}
-        self._ra_log: Dict[int, int] = {}
-        self._ra_so_log: Dict[int, int] = {}
-        self._cc_log: Dict[int, int] = {}
+        # Recorded inferred edges, reduced and replayed in batch order at
+        # finalize (one row per emission until then).
+        self._rc_log = _kernels.EdgeLog()
+        self._ra_log = _kernels.EdgeLog()
+        self._ra_so_log = _kernels.EdgeLog()
+        self._cc_log = _kernels.EdgeLog()
 
         # Violations discovered so far, plus their batch-order sort keys.
         self._rc_axiom: List[Tuple[Tuple[int, int, int], Violation]] = []
@@ -1296,7 +1197,7 @@ class CompiledIncrementalChecker:
 
         Identical contract to ``IncrementalChecker.finalize``: unresolved
         reads become thin-air violations, the frontiers drain, and the
-        packed edge logs are replayed in the batch algorithms' order.
+        edge logs reduce and replay in the batch algorithms' order.
         Idempotent.
         """
         if self._results is not None:
@@ -1410,7 +1311,6 @@ class CompiledIncrementalChecker:
                 mapping, names, committed_ids, so_edges, self._rc_log,
                 spilled=self._spilled_run("rc"),
             )
-            self._rc_log = {}
             violations = rc_violations + relation.find_cycles(
                 max_witnesses=self._max_witnesses
             )
@@ -1426,8 +1326,8 @@ class CompiledIncrementalChecker:
                 mapping, names, committed_ids, so_edges, log,
                 spilled=self._spilled_run("ra_so" if single else "ra"),
             )
-            self._ra_log = {}
-            self._ra_so_log = {}
+            self._ra_log.clear()
+            self._ra_so_log.clear()
             violations = (
                 rc_violations
                 + rr_violations
@@ -1451,7 +1351,6 @@ class CompiledIncrementalChecker:
                     mapping, names, committed_ids, so_edges, self._cc_log,
                     spilled=self._spilled_run("cc"),
                 )
-                self._cc_log = {}
                 violations = rc_violations + relation.find_cycles(
                     max_witnesses=self._max_witnesses
                 )
@@ -1513,6 +1412,8 @@ class CompiledIncrementalChecker:
             "resolve_slow_path": self._resolve_slow,
             "resolve_parked": self._resolve_parked,
             "resolve_rebound": self._resolve_rebound,
+            # Rows, not distinct edges: an edge emitted twice keeps both
+            # rows until the log reduces at finalize.
             "inferred_edge_log": (
                 len(self._rc_log)
                 + len(self._ra_log)
@@ -1561,209 +1462,24 @@ class CompiledIncrementalChecker:
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         # Derived kernel caches: cheap to rebuild, numpy-shaped, and not
-        # part of the checkpoint format (v5 checkpoints stay loadable both
-        # ways; __setstate__ starts fresh mirrors that the next batch
-        # repopulates from the pickled dict/registry).
+        # part of the checkpoint format; __setstate__ starts fresh mirrors
+        # that the next batch repopulates from the pickled dict/registry.
         state.pop("_writes_index", None)
         state.pop("_wb_probe", None)
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        # The rebind table is gone: supersede waiters are reconstructed from
-        # the park queue, so a pre-change checkpoint's table (whose entries
-        # alias the pickled _Txn/_Read objects) is simply dropped.
-        self.__dict__.pop("_rebindable", None)
         self._writes_index = _kernels.WritesIndex()
         self._wb_probe = _kernels.WriterProbeIndex()
-        for slot in (
-            "_resolve_fast",
-            "_resolve_slow",
-            "_resolve_parked",
-            "_resolve_rebound",
-            "_resolve_vectorized",
-            "_resolve_scalar",
-            "_join_vectorized",
-            "_join_scalar",
-        ):
-            if slot not in state:
-                # Checkpoints that predate the resolve/join kernels resume
-                # with the tallies restarted; only profile counters notice.
-                setattr(self, slot, 0)
-        if "_next_tid" not in state:
-            # A version-4 (pre-retirement) checkpoint: nothing was ever
-            # retired, so the bases are zero, the remap epoch is zero, and
-            # retirement stays disabled for the resumed run.
-            self._next_tid = len(state["_txns"])
-            self._txns_base = 0
-            self._sess_base = [0] * len(self._by_session)
-            self._latest_writer = {}
-            self._retire = None
-            self._retire_stats = RetireStats()
-            self._segments = None
-            self._retire_last = 0
-            self._retired_final = None
-        if "_t_sid" not in state:
-            self._migrate_legacy_state()
-        elif "_gr_start" not in state:
-            # A version-5 (columnar, pre-good-run) checkpoint: its
-            # ``_good_reads`` dict maps 1:1 onto the shared run columns
-            # (rows the old CC flush already consumed stay empty -- their
-            # wr runs were stored explicitly at fold, so nothing downstream
-            # ever reads the missing run).
-            good_map = self.__dict__.pop("_good_reads", {})
-            nrows = len(self._t_sid)
-            gr_start = self._gr_start = array("q", repeat(-1, nrows))
-            gr_len = self._gr_len = array("q", repeat(0, nrows))
-            gr_index = self._gr_index = array("q")
-            gr_kid = self._gr_kid = array("q")
-            gr_writer = self._gr_writer = array("q")
-            tbase = self._txns_base
-            for tid, goods in good_map.items():
-                j = tid - tbase
-                gr_start[j] = len(gr_index)
-                gr_len[j] = len(goods)
-                for index, kid, writer in goods:
-                    gr_index.append(index)
-                    gr_kid.append(kid)
-                    gr_writer.append(writer)
-        # Pre-bucket-cache checkpoints (v4/v5) store 3-tuple writer-registry
-        # entries; grow the parallel bucket-id list the probe flush's key
-        # CSR extends from (slot order is already sid-sorted).
-        writers_by_key = self._writers_by_key
-        for key, entry in writers_by_key.items():
-            if len(entry) == 3:
-                writers_by_key[key] = (
-                    entry[0],
-                    entry[1],
-                    entry[2],
-                    [slot[2] for slot in entry[1]],
-                )
-
-    def _migrate_legacy_state(self) -> None:
-        """Decompose a v4/v5 (object-heap) pickle into the columnar layout.
-
-        The legacy state carries ``_Txn`` records, ``(rec, read)`` pending
-        lists, the ``_hb`` dict, and ``List[List[int]]`` session clocks;
-        everything maps 1:1 onto the columns, so the resumed run is
-        byte-identical to one whose checkpoint was already columnar.
-        """
-        txns: List[_Txn] = self.__dict__.pop("_txns")
-        tbase = self._txns_base
-        # Pickles written before the ``slow_reads`` slot existed: force the
-        # conservative fold path for every resumed transaction (the fast
-        # path is a pure optimization, so semantics are identical).
-        has_slow = not txns or hasattr(txns[0], "slow_reads")
-        t_sid = self._t_sid = array("q")
-        t_sidx = self._t_sidx = array("q")
-        t_flags = self._t_flags = array("B")
-        t_unres = self._t_unres = array("q")
-        t_ccpend = self._t_ccpend = array("q")
-        t_slow = self._t_slow = array("q")
-        t_labels = self._t_labels = []
-        fw_off = self._fw_off = array("q", (0,))
-        fw_kid = self._fw_kid = array("q")
-        self._wr_any_start = array("q", repeat(-1, len(txns)))
-        self._wr_any_len = array("q", repeat(0, len(txns)))
-        self._wr_any_writer = array("q")
-        self._wr_any_kid = array("q")
-        self._wr_good_start = array("q", repeat(-1, len(txns)))
-        self._wr_good_len = array("q", repeat(0, len(txns)))
-        self._wr_good_writer = array("q")
-        self._wr_good_kid = array("q")
-        gr_start = self._gr_start = array("q", repeat(-1, len(txns)))
-        gr_len = self._gr_len = array("q", repeat(0, len(txns)))
-        gr_index = self._gr_index = array("q")
-        gr_kid = self._gr_kid = array("q")
-        gr_writer = self._gr_writer = array("q")
-        live_reads = self._live_reads = {}
-        self._prefold = {}
-        for j, rec in enumerate(txns):
-            t_sid.append(rec.sid)
-            t_sidx.append(rec.sidx)
-            t_flags.append(
-                (1 if rec.committed else 0)
-                | (2 if rec.resolved else 0)
-                | (4 if rec.cc_done else 0)
-                | (8 if rec.cc_registered else 0)
-            )
-            t_unres.append(rec.unresolved)
-            t_ccpend.append(rec.cc_pending)
-            t_slow.append(rec.slow_reads if has_slow else 1)
-            t_labels.append(rec.label)
-            # Both legacy key-written forms (a kid -> index dict, or the
-            # older ordered-kids tuple) iterate their kids in first-write
-            # order, which is exactly the run layout.
-            fw_kid.extend(rec.keys_written_ordered)
-            fw_off.append(len(fw_kid))
-            wr_good = rec.wr_first_good
-            self._store_wr_runs(
-                j, rec.wr_first_any, None if wr_good == rec.wr_first_any else wr_good
-            )
-            if rec.good_reads:
-                gr_start[j] = len(gr_index)
-                gr_len[j] = len(rec.good_reads)
-                for index, kid, writer in rec.good_reads:
-                    gr_index.append(index)
-                    gr_kid.append(kid)
-                    gr_writer.append(writer)
-            if rec.reads:
-                live_reads[rec.tid] = rec.reads
-        # Per-session _Txn lists become tid arrays.
-        self._by_session = [
-            array("q", (rec.tid for rec in records)) for records in self._by_session
-        ]
-        # Ragged clock lists become the flat -1-padded matrices.
-        num_sessions = len(self._by_session)
-        stride = 4
-        while stride < num_sessions:
-            stride <<= 1
-        self._clock_stride = stride
-        self._hb_pad = b"\xff" * (8 * stride)
-        sc_data = self._sc_data = array("q")
-        for clock in self.__dict__.pop("_session_clock"):
-            sc_data.extend(clock)
-            sc_data.extend(repeat(-1, stride - len(clock)))
-        hb_map = self.__dict__.pop("_hb")
-        hb_data = self._hb_data = array("q")
-        for j in range(len(txns)):
-            clock = hb_map.get(tbase + j)
-            if clock is None:
-                hb_data.frombytes(self._hb_pad)
-            else:
-                hb_data.extend(clock)
-                hb_data.extend(repeat(-1, stride - len(clock)))
-        # (rec, read) pending lists become the columnar park queue.  Reads
-        # of slow-path transactions park by their position in the reader's
-        # live-read list; a read absent from it would be a clean-parked one
-        # (encoded by index), but those never survive their own batch, so
-        # every parked read resolves through ``live_reads``.
-        queue = _kernels.ParkQueue()
-        for wid, plist in self.__dict__.pop("_pending").items():
-            for rec, read in plist:
-                slot = -read.index - 1
-                oreads = live_reads.get(rec.tid)
-                if oreads is not None:
-                    for position, candidate in enumerate(oreads):
-                        if candidate is read:
-                            slot = position
-                            break
-                queue.add(wid, rec.tid, slot)
-        self._pending = queue
-        # Waiter/probe queues drop their record references for plain tids.
-        self._cc_waiters = {
-            writer: [rec.tid for rec in waiters]
-            for writer, waiters in self._cc_waiters.items()
-        }
-        self._cc_probe_pending = [rec.tid for rec in self._cc_probe_pending]
 
     # -- watermark-based retirement (see repro.core.compiled.retire) ------------
 
     def enable_retirement(self, policy: RetirementPolicy) -> None:
         """Enable (or re-tune) watermark-based retirement on a live checker.
 
-        The resume path uses this: a v4 (pre-retirement) checkpoint resumes
-        with retirement disabled, and ``--retire`` turns it on for the rest
+        The resume path uses this: a checkpoint written without retirement
+        resumes with it disabled, and ``--retire`` turns it on for the rest
         of the run.  The latest-writer pins are rebuilt exactly from the
         resident writes index -- nothing was evicted while the policy was
         off, so every write's registration is still resident.  On a checker
@@ -2015,12 +1731,14 @@ class CompiledIncrementalChecker:
             )
         digests.sort()
 
-        # Spill finalized edge-log entries: an entry is immutable once its
-        # *reader* endpoint (the low half) retires -- only the reader's own
-        # saturation could have lowered its meta, and a retired reader never
-        # saturates again.  Writer endpoints may still be live; tids are
-        # absolute and stable, so the entries serialize as-is.
-        spilled_logs: Dict[str, List[Tuple[int, int]]] = {}
+        # Spill edge-log rows whose low endpoint retired: that endpoint is
+        # the writer the emitting transaction read from, and no later read
+        # can resolve to a retired writer (finalize refuses such a
+        # history), so those edges gain no more rows.  The high endpoint
+        # may still be live; tids are absolute and stable, so the rows
+        # serialize as-is, and finalize reduces them together with the
+        # live rows.
+        spilled_logs: Dict[str, Tuple[bytes, bytes, bytes]] = {}
         total_spilled = 0
         for name, log in (
             ("rc", self._rc_log),
@@ -2028,10 +1746,10 @@ class CompiledIncrementalChecker:
             ("ra_so", self._ra_so_log),
             ("cc", self._cc_log),
         ):
-            doomed = [edge for edge in log if (edge & EDGE_MASK) < new_base]
-            if doomed:
-                spilled_logs[name] = [(edge, log.pop(edge)) for edge in doomed]
-                total_spilled += len(doomed)
+            payload = log.spill(new_base)
+            if payload is not None:
+                spilled_logs[name] = payload
+                total_spilled += len(payload[0]) // 8
 
         # Compact the CC writer registry: inside each (key, session) slot
         # the retired rows form a prefix (rows append in arrival order);
@@ -2489,15 +2207,12 @@ class CompiledIncrementalChecker:
                 last_writer[read.kid] = writer
 
     # -- inferred-edge recording -----------------------------------------------
-
-    @staticmethod
-    def _record(log: Dict[int, int], t2: int, t1: int, kid: int, sort_key: int) -> None:
-        """Keep the batch-order-earliest ``(sort key, key id)`` per packed edge."""
-        edge = pack_edge(t2, t1)
-        meta = (sort_key << EDGE_SHIFT) | (kid + 1)
-        current = log.get(edge)
-        if current is None or meta < current:
-            log[edge] = meta
+    #
+    # Every producer appends one EdgeLog row per emission: the packed edge,
+    # ``rank = (sid << 32) | sidx`` of the emitting transaction, and
+    # ``sub = (attempt << 32) | (key id + 1)`` with the attempt counter
+    # advancing per emitted row.  The logs reduce to the batch-order-earliest
+    # row per edge only at finalize.
 
     def _rc_saturate(self, tid: int) -> None:
         """Per-transaction RC saturation (the body of Algorithm 1's main loop)."""
@@ -2519,11 +2234,14 @@ class CompiledIncrementalChecker:
                 first_txn_reads.add(gr_index[g])
         earliest: Dict[int, Tuple[Optional[int], Optional[int]]] = {}
         read_keys: Dict[int, None] = {}
-        seq = _sort_base(self._t_sid[j], self._t_sidx[j])
+        rank = (self._t_sid[j] << EDGE_SHIFT) | self._t_sidx[j]
+        attempt = 0
         fw_off = self._fw_off
         fw_kid = self._fw_kid
         rc_log = self._rc_log
-        rc_log_get = rc_log.get
+        edge_append = rc_log.edge.append
+        rank_append = rc_log.rank.append
+        sub_append = rc_log.sub.append
         for g in range(a + n - 1, a - 1, -1):
             index = gr_index[g]
             key = gr_kid[g]
@@ -2543,13 +2261,11 @@ class CompiledIncrementalChecker:
                     if t1 == t2:
                         t1 = older
                     if t1 is not None and t1 != t2:
-                        # _record, inlined (hot path).
-                        edge = (t2 << EDGE_SHIFT) | t1
-                        meta = (seq << EDGE_SHIFT) | (x + 1)
-                        current = rc_log_get(edge)
-                        if current is None or meta < current:
-                            rc_log[edge] = meta
-                        seq += 1
+                        # EdgeLog.append, inlined (hot path).
+                        edge_append((t2 << EDGE_SHIFT) | t1)
+                        rank_append(rank)
+                        sub_append(attempt | (x + 1))
+                        attempt += _ATTEMPT_STEP
             pair = earliest.get(key)
             if pair is None:
                 earliest[key] = (None, t2)
@@ -2585,7 +2301,8 @@ class CompiledIncrementalChecker:
         gn = self._gr_len[j]
         gr_kid = self._gr_kid
         gr_writer = self._gr_writer
-        seq = _sort_base(self._t_sid[j], self._t_sidx[j])
+        rank = (self._t_sid[j] << EDGE_SHIFT) | self._t_sidx[j]
+        attempt = 0
         reader_of_key: Dict[int, int] = {}
         distinct_writers: List[int] = []
         seen_writers: Set[int] = set()
@@ -2598,16 +2315,17 @@ class CompiledIncrementalChecker:
 
         ra_log = self._ra_log
         ra_so_log = self._ra_so_log
-        record = self._record
         # Case t2 -so-> t3 (also the whole single-session specialization).
         for g in range(ga, ga + gn):
             key = gr_kid[g]
             t1 = gr_writer[g]
             t2 = last_write.get(key)
             if t2 is not None and t2 != t1:
-                record(ra_so_log, t2, t1, key, seq)
-                record(ra_log, t2, t1, key, seq)
-                seq += 1
+                edge = pack_edge(t2, t1)
+                sub = attempt | (key + 1)
+                ra_so_log.append(edge, rank, sub)
+                ra_log.append(edge, rank, sub)
+                attempt += _ATTEMPT_STEP
 
         # Case t2 -wr-> t3: intersect writer keys with read keys, iterating
         # the smaller side in deterministic order (as the batch checker does).
@@ -2626,8 +2344,8 @@ class CompiledIncrementalChecker:
             for x in candidates:
                 t1 = reader_of_key[x]
                 if t1 != t2:
-                    record(ra_log, t2, t1, x, seq)
-                    seq += 1
+                    ra_log.append(pack_edge(t2, t1), rank, attempt | (x + 1))
+                    attempt += _ATTEMPT_STEP
 
         for key in fw_kid[fw_off[j] : fw_off[j + 1]]:
             last_write[key] = tid
@@ -2799,15 +2517,15 @@ class CompiledIncrementalChecker:
         # covers every registered session (writer session ids always index
         # a registered session), so the slot loop reads bounds straight
         # from the row without a pad step.
-        # The meta base advances by one whole seq step (1 << EDGE_SHIFT) per
-        # recorded attempt, so the shift happens once per transaction
-        # instead of once per attempt; the t2 row stores writers
-        # *pre-shifted* (see the checkpoint format note on _cc_t2_rows), so
-        # the packed edge is a single bitwise-or per attempt.
-        meta_base = _sort_base(rec_sid, self._t_sidx[j]) << EDGE_SHIFT
-        meta_step = 1 << EDGE_SHIFT
+        # The t2 row stores writers *pre-shifted* (see the checkpoint format
+        # note on _cc_t2_rows), so the packed edge is a single bitwise-or
+        # per attempt, and the attempt counter is kept pre-shifted too.
+        rank = (rec_sid << EDGE_SHIFT) | self._t_sidx[j]
+        attempt = 0
         cc_log = self._cc_log
-        cc_log_setdefault = cc_log.setdefault
+        edge_append = cc_log.edge.append
+        rank_append = cc_log.rank.append
+        sub_append = cc_log.sub.append
         writers_by_key = self._writers_by_key
         ga = self._gr_start[j]
         gn = self._gr_len[j]
@@ -2832,16 +2550,13 @@ class CompiledIncrementalChecker:
                 else:
                     t2s_val = t2_row[bid]
                 if t2s_val >= 0 and t2s_val != t1s:
-                    # _record, inlined (hot path); both sides pre-shifted,
-                    # so the self-edge test and the edge packing are one
-                    # comparison and one bitwise-or, and setdefault makes
-                    # the common first-occurrence case a single dict probe.
-                    edge = t2s_val | t1
-                    meta = meta_base | key1
-                    current = cc_log_setdefault(edge, meta)
-                    if meta < current:
-                        cc_log[edge] = meta
-                    meta_base += meta_step
+                    # EdgeLog.append, inlined (hot path); both sides
+                    # pre-shifted, so the self-edge test and the edge
+                    # packing are one comparison and one bitwise-or.
+                    edge_append(t2s_val | t1)
+                    rank_append(rank)
+                    sub_append(attempt | key1)
+                    attempt += _ATTEMPT_STEP
 
     def _flush_cc_probes(self) -> None:
         """Answer every CC probe deferred by ``_cc_process`` since last flush.
@@ -2853,14 +2568,14 @@ class CompiledIncrementalChecker:
         ``bucket * 2^32 + sidx`` composite (:class:`kernels.WriterProbeIndex`;
         only rows appended since the last flush are sorted per flush) and
         answers every (read, writer-session) probe of the batch with one
-        ``searchsorted`` per run, then reduces the per-edge minimum meta
-        with one lexsort before merging into the packed log.  The scalar metas
-        are reproduced exactly: the attempt counter advances only per
-        *emitted* attempt, and deferral can only add non-emitting probes
-        (any writer at or below a bound registered before the clock join
-        that produced the bound).  Falls back to the scalar pointer loop
-        when numpy is off, the batch is small, or a packing guard fails;
-        both paths are bit-identical.
+        ``searchsorted`` per run, then appends the emitted rows to the edge
+        log as columns.  The scalar rows are reproduced exactly: the attempt
+        counter advances only per *emitted* attempt, and deferral can only
+        add non-emitting probes (any writer at or below a bound registered
+        before the clock join that produced the bound).  Falls back to the
+        scalar pointer loop when numpy is off, the batch is small, or the
+        bucket count outgrows the probe composite; both paths append the
+        identical rows.
         """
         pending = self._cc_probe_pending
         if not pending:
@@ -2877,11 +2592,9 @@ class CompiledIncrementalChecker:
             np is not None
             and total >= _kernels._MIN_VECTOR_READS
             and len(self._wb_bucket) > 0
-            # Composite packing head-room: bucket * 2^32 + sidx and the
-            # meta hi component ((sid << 24) | sidx, shifted 24) must both
-            # stay inside a signed int64.
+            # Composite packing head-room: bucket * 2^32 + sidx must stay
+            # inside a signed int64.
             and self._num_buckets < _kernels._MAX_BUCKETS
-            and len(self._by_session) < (1 << 15)
         )
         if not use_vectorized:
             self._flush_scalar += 1
@@ -2917,12 +2630,10 @@ class CompiledIncrementalChecker:
         hb_view = np.frombuffer(self._hb_data, dtype=np.int64).reshape(-1, stride)
         js = np.asarray(js_list, dtype=np.int64)
         clock_mat = hb_view[js, :k]
-        # hi components: _sort_base, vectorized (the session-count guard
-        # above keeps the packed value inside int64 exactly as the scalar
-        # per-transaction assignment into an int64 array did).
+        # Edge-log ranks, one per pending transaction.
         sid_a = np.frombuffer(self._t_sid, dtype=np.int64)[js]
         sidx_a = np.frombuffer(self._t_sidx, dtype=np.int64)[js]
-        rec_hi = ((sid_a << _KEY_SHIFT) | sidx_a) << _KEY_SHIFT
+        rec_rank = (sid_a << EDGE_SHIFT) | sidx_a
         # Per-read rows come straight off the shared good-read run columns:
         # each pending transaction's (start, len) run expands to flat
         # positions with one arange/cumsum, no per-read Python loop.
@@ -2983,60 +2694,19 @@ class CompiledIncrementalChecker:
         if not emit.any():
             return
 
-        # Emission metas: hi advances per emitted attempt within each
+        # Emission rows: the attempt advances per emitted probe within each
         # transaction (probe order is read order is pending order, so the
         # emitted rec indices are non-decreasing and bincount gives each
         # transaction's attempt base).
-        t2_e = t2[emit]
-        t1_e = t1_probe[emit]
         erec = probe_rec[emit]
-        ekey = read_key_a[probe_read[emit]]
         ecounts = np.bincount(erec, minlength=nrec)
         estarts = np.cumsum(ecounts) - ecounts
         attempt = np.arange(erec.shape[0], dtype=np.int64) - estarts[erec]
-        if int(attempt.max()) >= (1 << _KEY_SHIFT):
-            # Meta hi head-room exhausted (2^24 emissions for a single
-            # transaction); the scalar loop's Python ints cannot overflow.
-            self._flush_vectorized -= 1
-            self._flush_scalar += 1
-            probe = self._cc_probe_scalar
-            for i, tid in enumerate(pending):
-                if gr_len[js_list[i]]:
-                    probe(tid)
-            return
-        hi = rec_hi[erec] + attempt
-        lo = ekey + 1
-        edges = (t2_e << EDGE_SHIFT) | t1_e
-
-        # Per-edge minimum meta via one lexsort (last key is primary), then
-        # merge first occurrences into the packed log.
-        order2 = np.lexsort((lo, hi, edges))
-        edges_sorted = edges[order2]
-        first = np.empty(edges_sorted.shape[0], dtype=bool)
-        first[0] = True
-        np.not_equal(edges_sorted[1:], edges_sorted[:-1], out=first[1:])
-        sel = order2[first]
-        # Metas pack as Python ints (hi occupies bits above EDGE_SHIFT and
-        # overflows int64 for large session ids, exactly like the scalar
-        # path), so the per-edge packing stays a comprehension -- but the
-        # merge itself runs at dict speed: the batch map is already
-        # min-reduced per edge, fresh edges land through one C-level
-        # update, and only edges an earlier flush recorded (rare) need the
-        # min against the incumbent meta.
-        batch_map = dict(
-            zip(
-                edges[sel].tolist(),
-                [
-                    (h << EDGE_SHIFT) | low
-                    for h, low in zip(hi[sel].tolist(), lo[sel].tolist())
-                ],
-            )
+        self._cc_log.extend(
+            (t2[emit] << EDGE_SHIFT) | t1_probe[emit],
+            rec_rank[erec],
+            (attempt << EDGE_SHIFT) | (read_key_a[probe_read[emit]] + 1),
         )
-        cc_log = self._cc_log
-        for edge in cc_log.keys() & batch_map.keys():
-            if cc_log[edge] < batch_map[edge]:
-                batch_map[edge] = cc_log[edge]
-        cc_log.update(batch_map)
 
     # -- finalize helpers --------------------------------------------------------
 
@@ -3062,12 +2732,12 @@ class CompiledIncrementalChecker:
             merged.append(front + list(records))
         return merged
 
-    def _spilled_run(self, name: str):
-        """The segments' spilled ``(edge, meta)`` entries for one edge log."""
+    def _spilled_run(self, name: str) -> Optional[_kernels.EdgeLog]:
+        """The segments' spilled rows of one edge log."""
         retired = self._retired_final
         if retired is None:
             return None
-        return retired.log_runs.get(name)
+        return retired.logs.get(name)
 
     def _batch_numbering(self):
         """Renumber transactions the way ``History.from_sessions`` would.
@@ -3111,8 +2781,8 @@ class CompiledIncrementalChecker:
         names: List[str],
         committed_ids: List[int],
         so_edges,
-        log: Dict[int, int],
-        spilled: Optional[List[Tuple[int, int]]] = None,
+        log: _kernels.EdgeLog,
+        spilled: Optional[_kernels.EdgeLog] = None,
     ) -> CommitRelation:
         relation = CommitRelation(
             names=names,
@@ -3166,85 +2836,8 @@ class CompiledIncrementalChecker:
                     for writer, kid in rec.wr_first_any.items():
                         wr_append((mapping[writer] << EDGE_SHIFT) | reader)
                         wrk_append(kid)
-        self._drain_log(log, mapping, relation, spilled)
+        log.drain(mapping, relation, spilled)
         return relation
-
-    def _drain_log(
-        self,
-        log: Dict[int, int],
-        mapping: List[int],
-        relation: CommitRelation,
-        spilled: Optional[List[Tuple[int, int]]] = None,
-    ) -> None:
-        """Drain a packed inferred-edge log into the relation's co rows.
-
-        Entries land in batch order (ascending meta = batch position of the
-        earliest firing attempt), renumbered through ``mapping`` -- so the
-        lazy label replay matches the batch engines bit for bit.  Dedup
-        against so/wr and the witness labels happen at the relation's CSR
-        freeze.  The vectorized path splits each meta into (seq, key) halves
-        -- metas overflow 64 bits by construction -- and lexsorts them,
-        which reproduces ``sorted(log, key=log.__getitem__)`` exactly; it
-        bails to the scalar loop if a seq half ever exceeds uint64 (only
-        possible past ~65k sessions).
-
-        ``spilled`` carries the retired readers' finalized ``(edge, meta)``
-        entries reloaded from the archival segments.  Metas are globally
-        unique (each reader's attempt counter advances per emission and the
-        per-reader bases are distinct), an edge appears in at most one of
-        the runs (a spilled edge's reader retired and never records again),
-        and every spilled entry already holds its global minimum meta -- so
-        one sort over the concatenation restores the exact order a
-        never-evicting log would drain in.
-        """
-        n_spilled = len(spilled) if spilled else 0
-        n = len(log) + n_spilled
-        if _np is not None and n:
-            try:
-                if n_spilled:
-                    keys_iter = chain(log.keys(), (edge for edge, _ in spilled))
-                    metas = list(log.values())
-                    metas.extend(meta for _, meta in spilled)
-                else:
-                    keys_iter = log.keys()
-                    metas = log.values()
-                packed = _np.fromiter(keys_iter, _np.uint64, n)
-                hi = _np.fromiter((m >> EDGE_SHIFT for m in metas), _np.uint64, n)
-                lo = _np.fromiter((m & EDGE_MASK for m in metas), _np.uint64, n)
-            except OverflowError:  # pragma: no cover - >65k sessions
-                pass
-            else:
-                log.clear()
-                order = _np.lexsort((lo, hi))
-                remap = _np.asarray(mapping, _np.uint64)
-                src = remap[(packed >> EDGE_SHIFT).astype(_np.int64)]
-                dst = remap[(packed & EDGE_MASK).astype(_np.int64)]
-                relation._co_log.frombytes(((src << EDGE_SHIFT) | dst)[order].tobytes())
-                relation._co_keys.frombytes(
-                    (lo.astype(_np.int64) - 1)[order].tobytes()
-                )
-                return
-        co_append = relation._co_log.append
-        cok_append = relation._co_keys.append
-        if n_spilled:
-            items = list(log.items())
-            items.extend(spilled)
-            log.clear()
-            items.sort(key=lambda item: item[1])
-            for edge, meta in items:
-                co_append(
-                    (mapping[edge >> EDGE_SHIFT] << EDGE_SHIFT)
-                    | mapping[edge & EDGE_MASK]
-                )
-                cok_append((meta & EDGE_MASK) - 1)
-            return
-        log_pop = log.pop
-        for edge in sorted(log, key=log.__getitem__):
-            kid = (log_pop(edge) & EDGE_MASK) - 1
-            co_append(
-                (mapping[edge >> EDGE_SHIFT] << EDGE_SHIFT) | mapping[edge & EDGE_MASK]
-            )
-            cok_append(kid)
 
     def _causality_graph(self, mapping: List[int]):
         """The committed ``so ∪ good-wr`` graph, frozen to CSR rows.
@@ -3393,6 +2986,27 @@ class CompiledIncrementalChecker:
         )
 
 
+#: What unpickling a truncated or bit-flipped checkpoint raises: the
+#: pickle machinery's own errors, plus whatever a garbled opcode stream
+#: makes it call (a bogus global, a bad constructor argument, a huge length).
+_CORRUPT_PICKLE_ERRORS = (
+    pickle.UnpicklingError,
+    EOFError,
+    AttributeError,
+    ImportError,
+    IndexError,
+    KeyError,
+    MemoryError,
+    OverflowError,
+    TypeError,
+    ValueError,
+)
+
+
+def _corrupt_checkpoint(path: str) -> str:
+    return f"{path}: checkpoint is truncated or corrupt; re-run without --resume"
+
+
 def load_checkpoint(
     path: str, source_path: Optional[str] = None
 ) -> CompiledIncrementalChecker:
@@ -3400,8 +3014,8 @@ def load_checkpoint(
 
     The returned checker has consumed ``checker.num_transactions`` records;
     skip that many records of the stream and keep appending.  Raises
-    :class:`~repro.core.exceptions.HistoryFormatError` on a bad header, or
-    -- when ``source_path`` is given and the checkpoint recorded a source
+    :class:`~repro.core.exceptions.HistoryFormatError` on a bad header, an
+    older format version, or a truncated or corrupt body, or -- when ``source_path`` is given and the checkpoint recorded a source
     fingerprint -- when ``source_path`` is not the history the checkpoint
     was taken from (resuming against a different file would silently mix
     two runs; the comparison re-hashes the recorded prefix length, so a
@@ -3413,15 +3027,19 @@ def load_checkpoint(
         if magic != CHECKPOINT_MAGIC:
             raise HistoryFormatError(f"{path}: not an awdit checkpoint file")
         version = handle.read(1)
-        if not version or version[0] not in _LOADABLE_CHECKPOINT_VERSIONS:
+        if not version or version[0] != CHECKPOINT_VERSION:
             raise HistoryFormatError(
                 f"{path}: unsupported checkpoint version "
-                f"{version[0] if version else '<missing>'}"
+                f"{version[0] if version else '<missing>'} (this release "
+                f"reads version {CHECKPOINT_VERSION}); re-run without --resume"
             )
-        payload = pickle.load(handle)
-    checker = payload["checker"]
-    if not isinstance(checker, CompiledIncrementalChecker):  # pragma: no cover
-        raise HistoryFormatError(f"{path}: checkpoint does not contain a checker")
+        try:
+            payload = pickle.load(handle)
+        except _CORRUPT_PICKLE_ERRORS as exc:
+            raise HistoryFormatError(_corrupt_checkpoint(path)) from exc
+    checker = payload.get("checker") if isinstance(payload, dict) else None
+    if not isinstance(checker, CompiledIncrementalChecker):
+        raise HistoryFormatError(_corrupt_checkpoint(path))
     recorded = payload.get("source")
     if source_path is not None and recorded is not None:
         current = source_fingerprint(source_path, prefix_len=recorded["prefix_len"])

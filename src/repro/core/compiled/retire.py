@@ -50,6 +50,7 @@ from dataclasses import dataclass, field
 from hashlib import blake2b
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
+from repro.core.compiled.kernels import EdgeLog
 from repro.core.model import HistoryFormatError
 
 #: Default number of most-recent transactions exempt from retirement.  Keeping
@@ -180,8 +181,9 @@ def stable_digest(key: object, value: object) -> int:
 #:   ``txns``    -- ``[(tid, sid, sidx, committed, label), ...]`` in tid order
 #:   ``wr``      -- ``[(reader_tid, [(writer, kid)...], [(writer, kid)...])]``
 #:                  (first-any then first-good per key, committed readers only)
-#:   ``logs``    -- ``{log_name: [(packed_edge, meta), ...]}`` finalized
-#:                  co-candidate edges whose *reader* endpoint retired
+#:   ``logs``    -- ``{log_name: (edge, rank, sub)}`` raw bytes of the
+#:                  edge-log rows whose low endpoint retired (see
+#:                  :meth:`~repro.core.compiled.kernels.EdgeLog.spill`)
 #:   ``digests`` -- sorted 64-bit digests of the write identities evicted by
 #:                  this pass
 _SEGMENT_SUFFIX = ".seg.pkl"
@@ -255,18 +257,17 @@ class RetiredState:
     ``records[sid]`` lists the retired transactions of session ``sid`` in
     session order as lightweight stand-ins exposing the attributes the
     finalize loops read off live records (``tid``/``committed``/``label``/
-    ``wr_first_any``/``wr_first_good``).  ``log_runs[name]`` concatenates the
-    spilled ``(edge, meta)`` entries of every segment; edges are globally
-    unique across runs and the live log (a spilled edge's reader has retired
-    and can never record again), so one sort restores the exact global
-    min-meta drain order.  ``digests`` merges every evicted identity digest.
+    ``wr_first_any``/``wr_first_good``).  ``logs[name]`` concatenates the
+    spilled edge-log rows of every segment; the log's drain reduces them
+    together with the live rows, which restores the exact drain order of a
+    never-evicting log.  ``digests`` merges every evicted identity digest.
     """
 
-    __slots__ = ("records", "log_runs", "digests")
+    __slots__ = ("records", "logs", "digests")
 
     def __init__(self, num_sessions: int) -> None:
         self.records: List[List[RetiredRec]] = [[] for _ in range(num_sessions)]
-        self.log_runs: Dict[str, List[Tuple[int, int]]] = {}
+        self.logs: Dict[str, EdgeLog] = {}
         self.digests: Set[int] = set()
 
 
@@ -308,8 +309,8 @@ def load_retired_state(store: SegmentStore, num_sessions: int) -> RetiredState:
             wr_map[reader_tid] = (any_items, good_items)
         for tid, sid, sidx, committed, label in payload["txns"]:
             staged[sid].append((sidx, tid, committed, label))
-        for name, entries in payload["logs"].items():
-            state.log_runs.setdefault(name, []).extend(entries)
+        for name, rows in payload["logs"].items():
+            state.logs.setdefault(name, EdgeLog()).load(rows)
         for digest in payload["digests"]:
             if digest in state.digests:
                 raise RetiredAccessError(

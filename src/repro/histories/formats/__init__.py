@@ -21,6 +21,7 @@ the file extension.
 
 from __future__ import annotations
 
+import codecs
 import os
 from typing import Dict, Iterator, Optional, Tuple
 
@@ -74,11 +75,43 @@ def _module_for(fmt: Optional[str], path: str):
     return FORMATS[name]
 
 
+def _utf8_error(path: str) -> ParseError:
+    """The diagnostic for a history file that is not valid UTF-8.
+
+    Rescans the file's bytes for the first undecodable byte, so the message
+    names its line and byte offset whichever reader tripped over it.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    line = 1
+    offset = 0
+    with open(path, "rb") as handle:
+        while True:
+            chunk = handle.read(1 << 20)
+            try:
+                text = decoder.decode(chunk, final=not chunk)
+            except UnicodeDecodeError as exc:
+                # exc.object is the decoder's carried-over partial character
+                # (no newlines in it) followed by this chunk.
+                line += exc.object.count(b"\n", 0, exc.start)
+                at = offset - (len(exc.object) - len(chunk)) + exc.start
+                return ParseError(
+                    f"{path}:{line}: invalid UTF-8 byte "
+                    f"0x{exc.object[exc.start]:02x} at byte offset {at}"
+                )
+            if not chunk:
+                return ParseError(f"{path}: invalid UTF-8")
+            line += text.count("\n")
+            offset += len(chunk)
+
+
 def load_history(path: str, fmt: Optional[str] = None) -> History:
     """Load a history from ``path`` in the given (or detected) format."""
     module = _module_for(fmt, path)
     with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+        try:
+            text = handle.read()
+        except UnicodeDecodeError:
+            raise _utf8_error(path) from None
     return module.loads(text)  # type: ignore[attr-defined]
 
 
@@ -109,6 +142,8 @@ def stream_history(
                 yield item
         except ParseError as exc:
             raise ParseError(f"{path}: {exc}") from exc
+        except UnicodeDecodeError:
+            raise _utf8_error(path) from None
 
 
 def stream_raw_history(
@@ -127,6 +162,8 @@ def stream_raw_history(
                 yield item
         except ParseError as exc:
             raise ParseError(f"{path}: {exc}") from exc
+        except UnicodeDecodeError:
+            raise _utf8_error(path) from None
 
 
 def stream_raw_batches(
@@ -149,6 +186,8 @@ def stream_raw_batches(
                 yield batch
         except ParseError as exc:
             raise ParseError(f"{path}: {exc}") from exc
+        except UnicodeDecodeError:
+            raise _utf8_error(path) from None
 
 
 def load_compiled(

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.exceptions import ParseError
-from repro.histories.formats import _module_for
+from repro.histories.formats import _module_for, _utf8_error
 from repro.histories.formats._raw import RawTransaction, RecordBatch
 
 __all__ = [
@@ -181,7 +181,10 @@ def parse_byte_range_batches(
     # would additionally cut on unicode line separators (U+2028 etc.) inside
     # values, diverging from the serial parse.  A trailing '\r' (CRLF files)
     # is stripped like universal-newlines decoding would.
-    lines = data.decode("utf-8").split("\n")
+    try:
+        lines = data.decode("utf-8").split("\n")
+    except UnicodeDecodeError:
+        raise _utf8_error(path) from None
     if lines and lines[-1] == "":
         lines.pop()
     lines = [

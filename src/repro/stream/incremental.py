@@ -64,6 +64,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 from repro.core.cc import causality_cycles, causality_labels
 from repro.core.commit import CommitRelation
 from repro.core.compiled.ir import Intern
+from repro.core.compiled.kernels import EdgeLog
 from repro.core.compiled.retire import (
     RetirementPolicy,
     RetireStats,
@@ -84,7 +85,7 @@ from repro.core.violations import (
     ViolationKind,
 )
 from repro.graph.csr import freeze_packed
-from repro.graph.digraph import EDGE_MASK, EDGE_SHIFT, pack_edge, unpack_edge
+from repro.graph.digraph import EDGE_SHIFT, pack_edge
 
 __all__ = ["IncrementalChecker", "check_stream"]
 
@@ -93,26 +94,6 @@ ALL_LEVELS: Tuple[IsolationLevel, ...] = (
     IsolationLevel.READ_ATOMIC,
     IsolationLevel.CAUSAL_CONSISTENCY,
 )
-
-# Packed inferred-edge log: ``(t2 << EDGE_SHIFT) | t1`` -> ``(sort key <<
-# EDGE_SHIFT) | (key id + 1)``.  One int-to-int dict entry per edge instead
-# of two tuples, which is what keeps streaming peak memory at or below the
-# batch checkers' even while the log and the finalize-time commit relation
-# briefly coexist.  The sort key is the position the batch algorithm would
-# first record the edge at; keys are interned in the checker's key table
-# (id ``-1``, stored as ``0``, means "no key").  Sort keys encode (sid,
-# session_index, attempt) as one integer.
-_EdgeLog = Dict[int, int]
-
-# Bit budget per sort-key component: up to 2^24 transactions per session and
-# 2^24 edge attempts per transaction keep batch-order replay exact; beyond
-# that only witness selection (never verdicts) could diverge from batch.
-_KEY_SHIFT = 24
-
-
-def _sort_base(sid: int, sidx: int) -> int:
-    """The sort-key base for transaction (sid, sidx); add the attempt number."""
-    return ((sid << _KEY_SHIFT) | sidx) << _KEY_SHIFT
 
 
 class _Read:
@@ -269,11 +250,12 @@ class IncrementalChecker:
         self._cc_waiters: Dict[int, List[_Txn]] = {}
         self._hb: Dict[int, List[int]] = {}
 
-        # Recorded inferred edges, replayed in batch order at finalize.
-        self._rc_log: _EdgeLog = {}
-        self._ra_log: _EdgeLog = {}
-        self._ra_so_log: _EdgeLog = {}
-        self._cc_log: _EdgeLog = {}
+        # Recorded inferred edges, one row per emission (keys interned in the
+        # key table), reduced and replayed in batch order at finalize.
+        self._rc_log = EdgeLog()
+        self._ra_log = EdgeLog()
+        self._ra_so_log = EdgeLog()
+        self._cc_log = EdgeLog()
 
         # Violations discovered so far, plus their batch-order sort keys.
         self._rc_axiom: List[Tuple[Tuple[int, int, int], Violation]] = []
@@ -557,7 +539,6 @@ class IncrementalChecker:
                 mapping, names, committed_ids, so_edges, self._rc_log,
                 spilled=self._spilled_run("rc"),
             )
-            self._rc_log = {}
             violations = rc_violations + relation.find_cycles(max_witnesses=self._max_witnesses)
             results[IsolationLevel.READ_COMMITTED] = self._result(
                 IsolationLevel.READ_COMMITTED, violations, "awdit-stream", relation
@@ -571,8 +552,8 @@ class IncrementalChecker:
                 mapping, names, committed_ids, so_edges, log,
                 spilled=self._spilled_run("ra_so" if single else "ra"),
             )
-            self._ra_log = {}
-            self._ra_so_log = {}
+            self._ra_log.clear()
+            self._ra_so_log.clear()
             violations = (
                 rc_violations
                 + rr_violations
@@ -597,7 +578,6 @@ class IncrementalChecker:
                     mapping, names, committed_ids, so_edges, self._cc_log,
                     spilled=self._spilled_run("cc"),
                 )
-                self._cc_log = {}
                 violations = rc_violations + relation.find_cycles(
                     max_witnesses=self._max_witnesses
                 )
@@ -925,12 +905,12 @@ class IncrementalChecker:
             digests.append(stable_digest(key_names[wkey[0]], wkey[1]))
         digests.sort()
 
-        # Spill finalized edge-log entries: an entry is immutable once its
-        # *reader* endpoint (the low half) retires -- only the reader's own
-        # saturation could have lowered its meta, and a retired reader never
-        # saturates again.  Writer endpoints may still be live; tids are
-        # absolute and stable, so the entries serialize as-is.
-        spilled_logs: Dict[str, List[Tuple[int, int]]] = {}
+        # Spill edge-log rows whose low endpoint retired: that endpoint is the
+        # writer the emitting transaction read from, and no later read can
+        # resolve to a retired writer (finalize refuses such a history), so
+        # those edges gain no more rows.  Rows serialize as-is (tids are
+        # absolute) and finalize reduces them together with the live rows.
+        spilled_logs: Dict[str, Tuple[bytes, bytes, bytes]] = {}
         total_spilled = 0
         for name, log in (
             ("rc", self._rc_log),
@@ -938,10 +918,10 @@ class IncrementalChecker:
             ("ra_so", self._ra_so_log),
             ("cc", self._cc_log),
         ):
-            doomed = [edge for edge in log if (edge & EDGE_MASK) < new_base]
-            if doomed:
-                spilled_logs[name] = [(edge, log.pop(edge)) for edge in doomed]
-                total_spilled += len(doomed)
+            payload = log.spill(new_base)
+            if payload is not None:
+                spilled_logs[name] = payload
+                total_spilled += len(payload[0]) // 8
 
         # Compact the CC writer registry: inside each (key, session) slot the
         # retired rows form a prefix (rows append in arrival order); keep only
@@ -990,18 +970,11 @@ class IncrementalChecker:
     # -- inferred-edge recording -----------------------------------------------
 
     @staticmethod
-    def _record(log: _EdgeLog, t2: int, t1: int, kid: int, sort_key: int) -> None:
-        """Keep the batch-order-earliest ``(sort key, key id)`` per packed edge.
-
-        Metas compare by sort key first (the key id occupies the low bits and
-        sort keys are unique per recording), so ``min`` by meta is ``min`` by
-        batch position.
-        """
-        edge = pack_edge(t2, t1)
-        meta = (sort_key << EDGE_SHIFT) | (kid + 1)
-        current = log.get(edge)
-        if current is None or meta < current:
-            log[edge] = meta
+    def _record(
+        log: EdgeLog, t2: int, t1: int, kid: int, rank: int, attempt: int
+    ) -> None:
+        """Append one emission; the log keeps the earliest row per edge."""
+        log.append(pack_edge(t2, t1), rank, (attempt << EDGE_SHIFT) | (kid + 1))
 
     def _rc_saturate(self, rec: _Txn) -> None:
         """Per-transaction RC saturation (the body of Algorithm 1's main loop)."""
@@ -1016,7 +989,8 @@ class IncrementalChecker:
                 first_txn_reads.add(index)
         earliest: Dict[int, Tuple[Optional[int], Optional[int]]] = {}
         read_keys: Dict[int, None] = {}
-        seq = _sort_base(rec.sid, rec.sidx)
+        rank = (rec.sid << EDGE_SHIFT) | rec.sidx
+        seq = 0
         for index, key, t2 in reversed(reads):
             if index in first_txn_reads:
                 writer_rec = self._txns[t2 - self._txns_base]
@@ -1033,7 +1007,7 @@ class IncrementalChecker:
                     if t1 == t2:
                         t1 = older
                     if t1 is not None and t1 != t2:
-                        self._record(self._rc_log, t2, t1, x, seq)
+                        self._record(self._rc_log, t2, t1, x, rank, seq)
                         seq += 1
             pair = earliest.get(key)
             if pair is None:
@@ -1062,7 +1036,8 @@ class IncrementalChecker:
 
     def _ra_process(self, rec: _Txn, last_write: Dict[int, int]) -> None:
         reads = rec.good_reads
-        seq = _sort_base(rec.sid, rec.sidx)
+        rank = (rec.sid << EDGE_SHIFT) | rec.sidx
+        seq = 0
         reader_of_key: Dict[int, int] = {}
         distinct_writers: List[int] = []
         seen_writers: Set[int] = set()
@@ -1076,8 +1051,8 @@ class IncrementalChecker:
         for _index, key, t1 in reads:
             t2 = last_write.get(key)
             if t2 is not None and t2 != t1:
-                self._record(self._ra_so_log, t2, t1, key, seq)
-                self._record(self._ra_log, t2, t1, key, seq)
+                self._record(self._ra_so_log, t2, t1, key, rank, seq)
+                self._record(self._ra_log, t2, t1, key, rank, seq)
                 seq += 1
 
         # Case t2 -wr-> t3: intersect writer keys with read keys, iterating
@@ -1095,7 +1070,7 @@ class IncrementalChecker:
             for x in candidates:
                 t1 = reader_of_key[x]
                 if t1 != t2:
-                    self._record(self._ra_log, t2, t1, x, seq)
+                    self._record(self._ra_log, t2, t1, x, rank, seq)
                     seq += 1
 
         for key in rec.keys_written_ordered:
@@ -1163,7 +1138,8 @@ class IncrementalChecker:
 
         last_write = self._cc_last_write[rec.sid]
         pointer = self._cc_ptr[rec.sid]
-        seq = _sort_base(rec.sid, rec.sidx)
+        rank = (rec.sid << EDGE_SHIFT) | rec.sidx
+        seq = 0
         for _index, key, t1 in rec.good_reads:
             key_writers = self._writers_by_key.get(key)
             if not key_writers:
@@ -1181,7 +1157,7 @@ class IncrementalChecker:
                     pointer[state] = ptr
                 t2 = last_write.get(state)
                 if t2 is not None and t2 != t1:
-                    self._record(self._cc_log, t2, t1, key, seq)
+                    self._record(self._cc_log, t2, t1, key, rank, seq)
                     seq += 1
 
         next_clock = list(clock)
@@ -1223,12 +1199,12 @@ class IncrementalChecker:
             merged.append(front + records)
         return merged
 
-    def _spilled_run(self, name: str):
-        """The segments' spilled ``(edge, meta)`` entries for one edge log."""
+    def _spilled_run(self, name: str) -> Optional[EdgeLog]:
+        """The segments' spilled rows of one edge log."""
         retired = self._retired_final
         if retired is None:
             return None
-        return retired.log_runs.get(name)
+        return retired.logs.get(name)
 
     def _batch_numbering(self):
         """Renumber transactions the way ``History.from_sessions`` would.
@@ -1272,8 +1248,8 @@ class IncrementalChecker:
         names: List[str],
         committed_ids: List[int],
         so_edges: List[Tuple[int, int]],
-        log: _EdgeLog,
-        spilled: Optional[List[Tuple[int, int]]] = None,
+        log: EdgeLog,
+        spilled: Optional[EdgeLog] = None,
     ) -> CommitRelation:
         relation = CommitRelation.from_edges(
             names,
@@ -1282,33 +1258,7 @@ class IncrementalChecker:
             self._wr_any_edges(mapping),
             key_names=self._key_table.values,
         )
-        # Drain the packed log directly into the relation's co rows: sort
-        # the edge ints by their meta (= batch position), renumber, append,
-        # pop each entry as it is replayed.  The log can hold hundreds of
-        # thousands of edges on large histories, so it never coexists whole
-        # with a second copy; dedup and labels happen at the CSR freeze.
-        co_append = relation._co_log.append
-        cok_append = relation._co_keys.append
-        if spilled:
-            # Merge the segments' spilled runs with the live log.  Edges are
-            # globally unique across runs and the live log (a spilled edge's
-            # reader retired and can never record again), so one sort by meta
-            # restores the exact global batch drain order.
-            items = list(log.items())
-            log.clear()
-            items.extend(spilled)
-            items.sort(key=lambda item: item[1])
-            for edge, meta in items:
-                kid = (meta & EDGE_MASK) - 1
-                t2, t1 = unpack_edge(edge)
-                co_append((mapping[t2] << EDGE_SHIFT) | mapping[t1])
-                cok_append(kid)
-        else:
-            for edge in sorted(log, key=log.__getitem__):
-                kid = (log.pop(edge) & EDGE_MASK) - 1
-                t2, t1 = unpack_edge(edge)
-                co_append((mapping[t2] << EDGE_SHIFT) | mapping[t1])
-                cok_append(kid)
+        log.drain(mapping, relation, spilled)
         return relation
 
     def _causality_graph(self, mapping: List[int]):

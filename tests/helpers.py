@@ -86,130 +86,3 @@ PAPER_VERDICTS = {
     "fig_4c": (True, True, False),
     "fig_4d": (True, True, True),
 }
-
-
-def make_legacy_checker_state(checker) -> None:
-    """Rewrite a columnar ``CompiledIncrementalChecker``'s ``__dict__`` into
-    the v4/v5 object-heap layout, in place.
-
-    The inverse of ``_migrate_legacy_state``: columns become ``_Txn``
-    records, the park queue becomes ``(rec, read)`` lists, and the flat
-    clock matrices become ragged clock lists plus the ``_hb`` dict.  The
-    mutated checker is only good for pickling -- cross-version resume
-    tests pickle it, reload, and let ``__setstate__`` migrate it back.
-    """
-    from repro.core.compiled.online import _Txn
-
-    d = checker.__dict__
-    tbase = d["_txns_base"]
-    t_sid = d.pop("_t_sid")
-    t_sidx = d.pop("_t_sidx")
-    t_flags = d.pop("_t_flags")
-    t_unres = d.pop("_t_unres")
-    t_ccpend = d.pop("_t_ccpend")
-    t_slow = d.pop("_t_slow")
-    t_labels = d.pop("_t_labels")
-    fw_off = d.pop("_fw_off")
-    fw_kid = d.pop("_fw_kid")
-    wany_start = d.pop("_wr_any_start")
-    wany_len = d.pop("_wr_any_len")
-    wany_writer = d.pop("_wr_any_writer")
-    wany_kid = d.pop("_wr_any_kid")
-    wgood_start = d.pop("_wr_good_start")
-    wgood_len = d.pop("_wr_good_len")
-    wgood_writer = d.pop("_wr_good_writer")
-    wgood_kid = d.pop("_wr_good_kid")
-    gr_start = d.pop("_gr_start")
-    gr_len = d.pop("_gr_len")
-    gr_index = d.pop("_gr_index")
-    gr_kid = d.pop("_gr_kid")
-    gr_writer = d.pop("_gr_writer")
-    live_reads = d.pop("_live_reads")
-    d.pop("_prefold")
-    txns = []
-    for j in range(len(t_sid)):
-        tid = tbase + j
-        flags = t_flags[j]
-        rec = _Txn(tid, t_sid[j], t_sidx[j], bool(flags & 1), t_labels[j])
-        rec.resolved = bool(flags & 2)
-        rec.cc_done = bool(flags & 4)
-        rec.cc_registered = bool(flags & 8)
-        rec.unresolved = t_unres[j]
-        rec.cc_pending = t_ccpend[j]
-        rec.slow_reads = t_slow[j]
-        kids = tuple(fw_kid[fw_off[j] : fw_off[j + 1]])
-        rec.keys_written_ordered = kids
-        rec.keys_written = frozenset(kids)
-        ga = gr_start[j]
-        gn = gr_len[j]
-        a = wany_start[j]
-        if a == -2:
-            # Derive sentinel: the first-read-per-writer map comes from the
-            # good-read run, exactly as the checker derives it at finalize.
-            wr_any = {}
-            for g in range(ga, ga + gn):
-                w = gr_writer[g]
-                if w not in wr_any:
-                    wr_any[w] = gr_kid[g]
-            rec.wr_first_any = wr_any
-        elif a >= 0:
-            rec.wr_first_any = {
-                wany_writer[i]: wany_kid[i] for i in range(a, a + wany_len[j])
-            }
-        gs = wgood_start[j]
-        if gs < 0:
-            rec.wr_first_good = dict(rec.wr_first_any)
-        else:
-            rec.wr_first_good = {
-                wgood_writer[i]: wgood_kid[i] for i in range(gs, gs + wgood_len[j])
-            }
-        rec.good_reads = [
-            (gr_index[g], gr_kid[g], gr_writer[g]) for g in range(ga, ga + gn)
-        ]
-        rec.reads = live_reads.get(tid, [])
-        txns.append(rec)
-    d["_txns"] = txns
-    d["_by_session"] = [
-        [txns[tid - tbase] for tid in session] for session in d["_by_session"]
-    ]
-
-    def _trim(row):
-        row = list(row)
-        while row and row[-1] == -1:
-            row.pop()
-        return row
-
-    stride = d.pop("_clock_stride")
-    d.pop("_hb_pad")
-    sc_data = d.pop("_sc_data")
-    d["_session_clock"] = [
-        _trim(sc_data[s * stride : (s + 1) * stride])
-        for s in range(len(d["_by_session"]))
-    ]
-    hb_data = d.pop("_hb_data")
-    hb = {}
-    for j, rec in enumerate(txns):
-        if rec.cc_done:
-            hb[rec.tid] = _trim(hb_data[j * stride : (j + 1) * stride])
-    d["_hb"] = hb
-    pending = {}
-    for wid, row in d.pop("_pending").items():
-        plist = []
-        for p in range(0, len(row), 2):
-            rec = txns[row[p] - tbase]
-            slot = row[p + 1]
-            assert slot >= 0, "clean-parked reads never survive their batch"
-            plist.append((rec, rec.reads[slot]))
-        pending[wid] = plist
-    d["_pending"] = pending
-    wbk = d["_writers_by_key"]
-    for key, entry in wbk.items():
-        # v4/v5 registry entries had no parallel bucket-id list.
-        wbk[key] = (entry[0], entry[1], entry[2])
-    d["_cc_waiters"] = {
-        writer: [txns[t - tbase] for t in waiters]
-        for writer, waiters in d["_cc_waiters"].items()
-    }
-    d["_cc_probe_pending"] = [txns[t - tbase] for t in d["_cc_probe_pending"]]
-    d.pop("_join_vectorized")
-    d.pop("_join_scalar")

@@ -1,13 +1,14 @@
-"""Columnar fold state: clock-join kernel parity, park-queue behavior,
-cross-version checkpoints, GC tuning, and batch-size validation.
+"""Columnar fold state: clock-join kernel parity, park-queue and edge-log
+behavior, checkpoint versions, GC tuning, and batch-size validation.
 
 The tentpole contract: the structure-of-arrays fold is answer-identical
 to the retired object-heap fold -- verdicts, witness messages, park and
 rebind ordering, refusal text -- at every ``batch_ops`` and on both
 kernel paths.  The pieces pinned here are the ones the columnar rewrite
 introduced: ``kernels.join_clocks`` (batched CC clock join),
-``kernels.ParkQueue`` (columnar park multimap), checkpoint format v6
-with v4/v5 backfill, and the ``--gc-tune`` collector experiment.
+``kernels.ParkQueue`` (columnar park multimap), ``kernels.EdgeLog``
+(columnar inferred-edge log), checkpoint format v7 with every older
+version refused, and the ``--gc-tune`` collector experiment.
 """
 
 import gc
@@ -20,11 +21,13 @@ from array import array
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import IsolationLevel
+from repro.core import IsolationLevel, check
+from repro.core.commit import CommitRelation
 from repro.core.compiled import kernels, online
+from repro.core.exceptions import HistoryFormatError
 from repro.core.compiled.retire import RetirementPolicy
 from repro.cli import main
 from repro.histories.formats import save_history
@@ -37,16 +40,15 @@ from repro.histories.generator import (
 )
 from repro.stream import CompiledIncrementalChecker, check_stream_file, load_checkpoint
 
-from helpers import make_legacy_checker_state
+from repro.core.violations import ViolationKind
 from test_resolve_kernel import (
     arrival_raw,
-    digest,
     fallback_modules,
     interleaved_raw,
     needs_numpy,
+    raw_of,
     run_stream,
 )
-from test_retire import _downgrade_checkpoint_to_v4
 
 LEVELS = list(IsolationLevel)
 
@@ -188,26 +190,127 @@ class TestParkQueue:
         assert len(clone) == 0
 
 
-# -- cross-version checkpoints -------------------------------------------------
+# -- EdgeLog: the columnar inferred-edge log ------------------------------------
+
+#: Sort-key components straddling the 2^24 bound of the retired packed-int
+#: metas (``((sid << 24 | sidx) << 24) + attempt``), where they collided.
+_WIDE = st.sampled_from([0, 1, 2, (1 << 24) - 1, 1 << 24, (1 << 24) + 1, (1 << 31) - 1])
 
 
-def _rewrite_as_v5(path):
-    """Rewrite a current checkpoint as the v5 (object-heap) layout."""
-    with open(path, "rb") as handle:
-        magic = handle.read(len(online.CHECKPOINT_MAGIC))
-        version = handle.read(1)
-        payload = pickle.load(handle)
-    assert magic == online.CHECKPOINT_MAGIC and version[0] == online.CHECKPOINT_VERSION
-    # v5 had retirement but predates the columns: pickle the object heap.
-    make_legacy_checker_state(payload["checker"])
-    with open(path, "wb") as handle:
-        handle.write(online.CHECKPOINT_MAGIC)
-        handle.write(bytes([5]))
-        pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+@st.composite
+def edge_log_rows(draw):
+    """Rows ``(t2, t1, sid, sidx, attempt, kid)`` plus interleaved spill cuts.
+
+    Tids are drawn from a small range so edges repeat; the sort key
+    ``(sid, sidx, attempt, kid)`` is unique per row, as it is per emission
+    in the checkers.
+    """
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 9),
+                st.integers(0, 9),
+                st.integers(0, 3),
+                _WIDE,
+                _WIDE,
+                st.integers(-1, 6),
+            ),
+            max_size=60,
+            unique_by=lambda row: row[2:],
+        )
+    )
+    spills = draw(
+        st.dictionaries(st.integers(0, max(len(rows) - 1, 0)), st.integers(0, 10))
+    )
+    return rows, spills
+
+
+def _drain_rows(rows, spills):
+    """Feed ``rows`` to an EdgeLog, spilling at ``spills``, and drain it."""
+    log = kernels.EdgeLog()
+    spilled = kernels.EdgeLog()
+    for i, (t2, t1, sid, sidx, attempt, kid) in enumerate(rows):
+        log.append((t2 << 32) | t1, (sid << 32) | sidx, (attempt << 32) | (kid + 1))
+        if i in spills:
+            payload = log.spill(spills[i])
+            if payload is not None:
+                spilled.load(payload)
+    relation = CommitRelation(
+        names=[f"t{i}" for i in range(10)], committed=range(10), key_names=[]
+    )
+    mapping = [9 - tid for tid in range(10)]
+    log.drain(mapping, relation, spilled if len(spilled) else None)
+    assert len(log) == 0
+    return list(relation._co_log), list(relation._co_keys)
+
+
+class TestEdgeLog:
+    """Numpy drain, Python twin and a sorted reference agree row for row."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(case=edge_log_rows())
+    def test_drain_matches_sorted_reference(self, case):
+        rows, spills = case
+        want_edges, want_keys, seen = [], [], set()
+        for t2, t1, _sid, _sidx, _attempt, kid in sorted(rows, key=lambda r: r[2:]):
+            if (t2, t1) not in seen:
+                seen.add((t2, t1))
+                want_edges.append(((9 - t2) << 32) | (9 - t1))
+                want_keys.append(kid)
+        with fallback_modules():
+            twin = _drain_rows(rows, spills)
+        assert twin == (want_edges, want_keys)
+        if kernels.HAVE_NUMPY:
+            assert _drain_rows(rows, spills) == twin
+
+    def test_spill_takes_rows_by_low_endpoint(self):
+        log = kernels.EdgeLog()
+        for t2, t1 in ((5, 1), (1, 5), (7, 2), (2, 7)):
+            log.append((t2 << 32) | t1, t2, t1)
+        payload = log.spill(3)
+        back = kernels.EdgeLog()
+        back.load(payload)
+        assert list(back.edge) == [(5 << 32) | 1, (7 << 32) | 2]
+        assert list(log.edge) == [(1 << 32) | 5, (2 << 32) | 7]
+        assert list(log.rank) == [1, 2] and list(log.sub) == [5, 7]
+        assert log.spill(3) is None
+
+    def test_pickles_as_columns(self):
+        log = kernels.EdgeLog()
+        log.append((3 << 32) | 1, 7, 9)
+        clone = pickle.loads(pickle.dumps(log, protocol=pickle.HIGHEST_PROTOCOL))
+        assert (list(clone.edge), list(clone.rank), list(clone.sub)) == ([(3 << 32) | 1], [7], [9])
+
+
+# -- checkpoint versions and whole-check identity ---------------------------------
+
+
+def _stream_with_gadget(txns=800, seed=17):
+    """A causally ordered stream with a commit-order-cycle gadget at its end.
+
+    Returns ``(history, raw records)``; the arrival order lets retirement
+    evict (and spill edge-log rows) mid-stream, and the gadget makes every
+    level report a violation with a witness.
+    """
+    base, order = generate_random_stream(
+        RandomHistoryConfig(
+            num_sessions=4,
+            num_transactions=txns,
+            num_keys=40,
+            abort_probability=0.02,
+            seed=seed,
+        )
+    )
+    history = inject_anomaly(base, ViolationKind.COMMIT_ORDER_CYCLE)
+    records = arrival_raw(base, order)
+    for sid, session in enumerate(history.sessions):
+        fed = len(base.sessions[sid]) if sid < base.num_sessions else 0
+        records.extend((sid, raw_of(history.transactions[tid])) for tid in session[fed:])
+    return history, records
 
 
 class TestCrossVersionCheckpoints:
-    """v4 and v5 pickles resume through the columnar backfill, answer-identical."""
+    """v7 checkpoints resume answer-identical; every older version is refused."""
 
     def _history(self, txns=300, seed=29):
         return generate_random_history(
@@ -224,81 +327,66 @@ class TestCrossVersionCheckpoints:
             )
         )
 
-    def test_saved_checkpoints_are_v6(self, tmp_path):
+    def _checkpoint(self, tmp_path):
         checker = CompiledIncrementalChecker(num_sessions=2)
         checker.append_raw(0, "t0", True, [(True, "x", 1)])
         path = tmp_path / "state.awd"
         checker.save_checkpoint(str(path))
-        blob = path.read_bytes()
+        return path
+
+    def test_saved_checkpoints_are_v7(self, tmp_path):
+        blob = self._checkpoint(tmp_path).read_bytes()
         assert blob.startswith(online.CHECKPOINT_MAGIC)
-        assert blob[len(online.CHECKPOINT_MAGIC)] == online.CHECKPOINT_VERSION == 6
+        assert blob[len(online.CHECKPOINT_MAGIC)] == online.CHECKPOINT_VERSION == 7
 
-    @pytest.mark.parametrize("batch_ops", [1, 64])
-    def test_v5_checkpoint_resumes_byte_identical(self, tmp_path, batch_ops):
-        history = self._history()
-        records = interleaved_raw(history, 7)
-        want, _ = run_stream(records, history.num_sessions, batch_ops)
-        half = CompiledIncrementalChecker(num_sessions=history.num_sessions)
-        half.extend_raw(iter(records[:150]), batch_ops=batch_ops)
-        path = tmp_path / "state.awd"
-        half.save_checkpoint(str(path))
-        _rewrite_as_v5(str(path))
+    @pytest.mark.parametrize("version", [4, 5, 6])
+    def test_older_versions_are_refused(self, tmp_path, capsys, version):
+        path = self._checkpoint(tmp_path)
+        blob = bytearray(path.read_bytes())
+        blob[len(online.CHECKPOINT_MAGIC)] = version
+        path.write_bytes(bytes(blob))
+        with pytest.raises(HistoryFormatError) as excinfo:
+            load_checkpoint(str(path))
+        message = str(excinfo.value)
+        assert f"unsupported checkpoint version {version}" in message
+        assert message.endswith("re-run without --resume")
+        history = tmp_path / "h.plume"
+        save_history(self._history(txns=10), str(history), fmt="plume")
+        argv = ["check", str(history), "--stream", "--checkpoint", str(path), "--resume"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unsupported checkpoint version" in err
 
-        resumed = load_checkpoint(str(path))
-        assert "_txns" not in resumed.__dict__, "backfill must rebuild the columns"
-        assert isinstance(resumed._pending, kernels.ParkQueue)
-        resumed.extend_raw(iter(records[150:]), batch_ops=batch_ops)
-        assert digest(resumed.finalize()) == want
-
-    def test_v4_checkpoint_resumes_byte_identical(self, tmp_path):
-        history = self._history(seed=31)
-        records = interleaved_raw(history, 3)
-        want, _ = run_stream(records, history.num_sessions, 64)
-        half = CompiledIncrementalChecker(num_sessions=history.num_sessions)
-        half.extend_raw(iter(records[:150]), batch_ops=64)
-        path = tmp_path / "state.awd"
-        half.save_checkpoint(str(path))
-        _downgrade_checkpoint_to_v4(str(path))
-
-        resumed = load_checkpoint(str(path))
-        assert "_txns" not in resumed.__dict__
-        resumed.extend_raw(iter(records[150:]), batch_ops=64)
-        assert digest(resumed.finalize()) == want
-
-    def test_v5_resume_straddles_a_compaction(self, tmp_path):
-        # The checkpoint is taken after real evictions, rewritten to the
-        # object-heap layout, and the resume continues retiring over the
-        # rebuilt columns -- the hardest backfill path (txns_base > 0).
-        # A causally ordered serializable stream, so the fold fully drains
-        # between batches and the retirement guard can actually evict (a
-        # random interleave parks readers ahead of their writers, which
-        # stalls the guard by design).
-        history, order = generate_random_stream(
-            RandomHistoryConfig(
-                num_sessions=4,
-                num_transactions=800,
-                num_keys=40,
-                abort_probability=0.02,
-                seed=17,
-            )
+    @pytest.mark.parametrize("retire", [False, True], ids=["keep", "retire"])
+    @pytest.mark.parametrize("fallback", [False, True], ids=["numpy", "fallback"])
+    @pytest.mark.parametrize("batch_ops", [1, 64, 4096])
+    def test_v7_resume(self, tmp_path, batch_ops, fallback, retire):
+        # RC, RA and CC at once: a mid-stream v7 checkpoint, resumed on
+        # either kernel path, with and without retirement spilling
+        # edge-log rows into segments, reproduces the batch engine's
+        # verdicts, witnesses and inferred-edge counts.
+        history, records = _stream_with_gadget()
+        want = [
+            (level.name, r.is_consistent, [v.message for v in r.violations],
+             r.stats.get("inferred_edges"))
+            for level in LEVELS
+            for r in [check(history, level)]
+        ]
+        policy = (
+            RetirementPolicy(lag=192, every=16, segment_dir=str(tmp_path / "segs"))
+            if retire
+            else None
         )
-        records = arrival_raw(history, order)
-        want, _ = run_stream(records, history.num_sessions, 64)
-        policy = RetirementPolicy(lag=192, every=16, segment_dir=str(tmp_path / "segs"))
-        half = CompiledIncrementalChecker(
-            num_sessions=history.num_sessions, retire=policy
+        got, checker = run_stream(
+            records,
+            history.num_sessions,
+            batch_ops,
+            fallback=fallback,
+            retire=policy,
+            resume=(str(tmp_path / "state.awd"), 500),
         )
-        half.extend_raw(iter(records[:500]), batch_ops=64)
-        assert half._txns_base > 0, "checkpoint must straddle real evictions"
-        path = tmp_path / "state.awd"
-        half.save_checkpoint(str(path))
-        _rewrite_as_v5(str(path))
-
-        resumed = load_checkpoint(str(path))
-        assert resumed._txns_base > 0
-        resumed.enable_retirement(policy)
-        resumed.extend_raw(iter(records[500:]), batch_ops=64)
-        assert digest(resumed.finalize()) == want
+        assert got == want
+        assert (checker.live_stats()["spilled_edges"] > 0) == retire
 
     @pytest.mark.parametrize("batch_ops", [1, 64, 4096])
     def test_fallback_path_answers_identical(self, batch_ops):
@@ -309,6 +397,34 @@ class TestCrossVersionCheckpoints:
         want, _ = run_stream(records, history.num_sessions, batch_ops)
         got, _ = run_stream(records, history.num_sessions, batch_ops, fallback=True)
         assert got == want
+
+
+class TestCorruptCheckpoint:
+    """A truncated checkpoint is a one-line diagnostic, not a traceback."""
+
+    def test_truncated_checkpoint_is_refused(self, tmp_path, capsys):
+        history, _ = _stream_with_gadget(txns=200)
+        source = tmp_path / "h.plume"
+        save_history(history, str(source), fmt="plume")
+        state = tmp_path / "state.awd"
+        argv = ["check", str(source), "--stream", "--checkpoint", str(state)]
+        assert main(argv + ["--checkpoint-every", "100"]) == 1
+        blob = state.read_bytes()
+        capsys.readouterr()
+        header = len(online.CHECKPOINT_MAGIC) + 1
+        cut_path = tmp_path / "cut.awd"
+        for cut in (header, header + 1, header + 40, 500, len(blob) // 2, len(blob) - 1):
+            cut_path.write_bytes(blob[:cut])
+            with pytest.raises(HistoryFormatError) as excinfo:
+                load_checkpoint(str(cut_path))
+            assert str(excinfo.value) == (
+                f"{cut_path}: checkpoint is truncated or corrupt; re-run without --resume"
+            )
+            code = main(["check", str(source), "--stream", "--checkpoint",
+                         str(cut_path), "--resume"])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err == f"awdit: error: {excinfo.value}\n"
 
 
 # -- AWDIT_NO_NUMPY subprocess parity ------------------------------------------

@@ -283,7 +283,10 @@ class TestOnlineFlushBitIdentity:
             monkeypatch.setattr(online, "_np", None)
         checker = online.CompiledIncrementalChecker(levels=list(online.ALL_LEVELS))
         checker.extend_raw(self._records(history, order_seed), batch_ops=batch_ops)
-        log = dict(checker._cc_log)
+        # Both flush paths append the identical emission rows in the
+        # identical order, before any reduce.
+        cc_log = checker._cc_log
+        log = (list(cc_log.edge), list(cc_log.rank), list(cc_log.sub))
         results = checker.finalize()
         rendered = {
             level.name: (

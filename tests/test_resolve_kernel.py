@@ -24,14 +24,13 @@ relies on:
   ``classify_kernel: fallback``;
 * retirement compaction invalidates the flat registry mid-stream and the
   next batch rebuilds it from the live dicts without changing a verdict;
-* checkpoints never serialize the registry (v5 files stay loadable both
-  ways) and pre-kernel pickles resume through the backfill paths;
+* checkpoints never serialize the registry, and a resumed checker
+  rebuilds it from the pickled dicts;
 * the shard workers' import surface re-exports the kernel.
 """
 
 import json
 import os
-import pickle
 import random
 import subprocess
 import sys
@@ -55,7 +54,6 @@ from repro.histories.generator import (
     generate_random_stream,
     inject_anomaly,
 )
-from helpers import make_legacy_checker_state
 from repro.stream import CompiledIncrementalChecker, check_stream_file, load_checkpoint
 
 LEVELS = list(IsolationLevel)
@@ -154,11 +152,24 @@ def digest(results):
     ]
 
 
-def run_stream(records, num_sessions, batch_ops, fallback=False, retire=None):
+def run_stream(records, num_sessions, batch_ops, fallback=False, retire=None,
+               resume=None):
+    """Stream ``records`` through one checker and digest its results.
+
+    ``resume=(path, cut)`` checkpoints after the first ``cut`` records and
+    finishes the stream on the checker reloaded from ``path``.
+    """
     ctx = fallback_modules() if fallback else vector_floor()
     with ctx:
         checker = CompiledIncrementalChecker(num_sessions=num_sessions, retire=retire)
-        checker.extend_raw(iter(records), batch_ops=batch_ops)
+        if resume is None:
+            checker.extend_raw(iter(records), batch_ops=batch_ops)
+        else:
+            path, cut = resume
+            checker.extend_raw(iter(records[:cut]), batch_ops=batch_ops)
+            checker.save_checkpoint(path)
+            checker = load_checkpoint(path)
+            checker.extend_raw(iter(records[cut:]), batch_ops=batch_ops)
         return digest(checker.finalize()), checker
 
 
@@ -522,46 +533,6 @@ class TestCheckpointAcrossResolver:
             path = tmp_path / "resume.ck"
             first.save_checkpoint(str(path))
             resumed = load_checkpoint(str(path))
-            resumed.extend_raw(iter(records[cut:]), batch_ops=64)
-            assert digest(resumed.finalize()) == want
-
-    def test_pre_kernel_pickle_resumes_through_backfill(self):
-        # Emulate a v5 checkpoint written before the resolve kernel (and
-        # the columnar state) existed: object-heap layout, no resolve
-        # counters, no slow_reads slot, and the old rebind table still
-        # attached.  __setstate__ must backfill the counters, force the
-        # conservative slow path, and migrate the objects into columns;
-        # the resumed run must converge on the same verdicts.
-        history = self._history()
-        records = interleaved_raw(history, 5)
-        cut = len(records) // 2
-        want, _ = run_stream(records, history.num_sessions, 64)
-
-        with vector_floor():
-            first = CompiledIncrementalChecker(num_sessions=history.num_sessions)
-            first.extend_raw(iter(records[:cut]), batch_ops=64)
-            aged = pickle.loads(pickle.dumps(first))
-            make_legacy_checker_state(aged)
-            for rec in aged._txns:
-                try:
-                    del rec.slow_reads
-                except AttributeError:
-                    pass
-            for name in (
-                "_resolve_fast",
-                "_resolve_slow",
-                "_resolve_parked",
-                "_resolve_rebound",
-                "_resolve_vectorized",
-                "_resolve_scalar",
-            ):
-                aged.__dict__.pop(name, None)
-            aged.__dict__["_rebindable"] = {}
-            resumed = pickle.loads(pickle.dumps(aged))
-            assert "_rebindable" not in resumed.__dict__
-            assert "_txns" not in resumed.__dict__
-            assert resumed._resolve_fast == 0
-            assert all(slow == 1 for slow in resumed._t_slow)
             resumed.extend_raw(iter(records[cut:]), batch_ops=64)
             assert digest(resumed.finalize()) == want
 

@@ -8,7 +8,6 @@ state -- never a silently different answer.
 """
 
 import os
-import pickle
 import random
 import subprocess
 import sys
@@ -17,9 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import make_legacy_checker_state
 from repro.core import IsolationLevel
-from repro.core.compiled import online
 from repro.core.compiled.retire import (
     RetiredAccessError,
     RetirementPolicy,
@@ -344,35 +341,6 @@ class TestRetireMemoryBounded:
         assert checker.live_stats()["retired_transactions"] == 0
 
 
-def _downgrade_checkpoint_to_v4(path):
-    """Rewrite a current checkpoint file as the pre-retirement v4 layout."""
-    with open(path, "rb") as handle:
-        magic = handle.read(len(online.CHECKPOINT_MAGIC))
-        version = handle.read(1)
-        payload = pickle.load(handle)
-    assert magic == online.CHECKPOINT_MAGIC and version[0] == online.CHECKPOINT_VERSION
-    checker = payload["checker"]
-    assert checker._txns_base == 0, "cannot downgrade a retired checker"
-    # v4 predates the columnar state too: pickle the object-heap form.
-    make_legacy_checker_state(checker)
-    for attr in (
-        "_next_tid",
-        "_txns_base",
-        "_sess_base",
-        "_latest_writer",
-        "_retire",
-        "_retire_stats",
-        "_segments",
-        "_retire_last",
-        "_retired_final",
-    ):
-        checker.__dict__.pop(attr, None)
-    with open(path, "wb") as handle:
-        handle.write(online.CHECKPOINT_MAGIC)
-        handle.write(bytes([4]))
-        pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-
-
 class TestCheckpointAcrossRetirement:
     def _stream(self, txns=800):
         return generate_random_stream(
@@ -410,7 +378,7 @@ class TestCheckpointAcrossRetirement:
             resumed.append_raw(sid, *raw_of(txn))
         assert_identical(resumed.finalize(), want)
 
-    def test_v4_checkpoint_resumes_with_retirement_disabled(self, tmp_path):
+    def test_resume_without_retirement_stays_off(self, tmp_path):
         history, order = self._stream(txns=200)
         want, _ = run_compiled(history, order)
         records = list(arrival_records(history, order))
@@ -419,7 +387,6 @@ class TestCheckpointAcrossRetirement:
             half.append_raw(sid, *raw_of(txn))
         path = tmp_path / "state.awd"
         half.save_checkpoint(str(path))
-        _downgrade_checkpoint_to_v4(str(path))
 
         resumed = load_checkpoint(str(path))
         assert resumed.num_transactions == 120
@@ -429,7 +396,7 @@ class TestCheckpointAcrossRetirement:
             resumed.append_raw(sid, *raw_of(txn))
         assert_identical(resumed.finalize(), want)
 
-    def test_v4_resume_can_enable_retirement(self, tmp_path):
+    def test_resume_can_enable_retirement(self, tmp_path):
         history, order = self._stream()
         want, _ = run_compiled(history, order)
         records = list(arrival_records(history, order))
@@ -438,7 +405,6 @@ class TestCheckpointAcrossRetirement:
             half.append_raw(sid, *raw_of(txn))
         path = tmp_path / "state.awd"
         half.save_checkpoint(str(path))
-        _downgrade_checkpoint_to_v4(str(path))
 
         resumed = load_checkpoint(str(path))
         resumed.enable_retirement(RetirementPolicy(lag=128, every=16))

@@ -10,14 +10,17 @@ import io
 
 import pytest
 
+from repro.cli import main
 from repro.core.exceptions import HistoryFormatError, ParseError
 from repro.histories.formats import (
     cobra,
     dbcop,
+    load_compiled,
     native,
     plume_text,
     save_history,
     stream_history,
+    stream_raw_batches,
     stream_raw_history,
 )
 
@@ -168,3 +171,30 @@ class TestFileContext:
         with pytest.raises(HistoryFormatError) as excinfo:
             _drain(stream_raw_history(str(path)))
         assert "broken.json" in str(excinfo.value)
+
+
+class TestInvalidUtf8:
+    """A byte that is not UTF-8 is a one-line file:line diagnostic everywhere."""
+
+    @pytest.mark.parametrize("entry", ["load_compiled", "stream_raw_batches", "cli"])
+    @pytest.mark.parametrize("fmt", ["plume", "cobra", "dbcop", "json", "native"])
+    def test_invalid_byte_is_a_format_error(self, tmp_path, capsys, fmt, entry):
+        path = tmp_path / f"bad.{fmt}"
+        save_history(all_paper_histories()["fig_1b"], str(path), fmt=fmt)
+        blob = path.read_bytes()
+        # Corrupt the end of the second line.
+        at = blob.index(b"\n", blob.index(b"\n") + 1)
+        path.write_bytes(blob[:at] + b"\xff" + blob[at:])
+        want = f"{path}:2: invalid UTF-8 byte 0xff at byte offset {at}"
+        if entry == "cli":
+            # --stream --jobs 2 parses byte ranges where the format allows it.
+            for extra in ([], ["--stream"], ["--stream", "--jobs", "2"]):
+                assert main(["check", str(path), "--format", fmt, *extra]) == 2
+                assert capsys.readouterr().err == f"awdit: error: {want}\n"
+            return
+        with pytest.raises(HistoryFormatError) as excinfo:
+            if entry == "load_compiled":
+                load_compiled(str(path), fmt=fmt)
+            else:
+                _drain(stream_raw_batches(str(path), fmt=fmt))
+        assert str(excinfo.value) == want
