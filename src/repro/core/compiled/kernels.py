@@ -933,55 +933,56 @@ def _column(typecode: str, values) -> "array":
 
 
 def _first_per_edge(edge, rank, sub):
-    """Indices of the first row per edge in ``(rank, sub)`` order, in that order.
+    """Ascending indices of the first row per edge in ``(rank, sub)`` order.
 
-    The order comes from one stable argsort of a single int64 key when the
-    four sort-key components (session id, session index, attempt, key id)
-    fit side by side in 63 bits, as they do on any realistic stream, else
-    from a lexsort of the two columns.  The first
-    row of each edge is then the minimum sorted position over the edge's
-    group, found with one argsort of the edges and a ``minimum.reduceat``.
+    One argsort groups the rows by edge; two ``minimum.reduceat`` passes
+    then find each group's least ``rank`` and, among the rows holding it,
+    the least ``sub``.  Rows equal in all three columns are
+    interchangeable, so the lowest index among them stands for the group.
     Temporaries are dropped as soon as they are used: the drain runs at the
     finalize memory peak.
     """
     np = _np
-    b_sid, b_sidx, b_attempt, b_kid = (
-        int(part.max()).bit_length()
-        for part in (rank >> EDGE_SHIFT, rank & EDGE_MASK, sub >> EDGE_SHIFT, sub & EDGE_MASK)
-    )
-    if b_sid + b_sidx + b_attempt + b_kid <= 63:
-        key = rank >> EDGE_SHIFT
-        key <<= b_sidx
-        key |= rank & EDGE_MASK
-        key <<= b_attempt
-        key |= sub >> EDGE_SHIFT
-        key <<= b_kid
-        key |= sub & EDGE_MASK
-        order = np.argsort(key, kind="stable")
-        del key
-    else:
-        order = np.lexsort((sub, rank))
-    position = np.empty_like(order)
-    position[order] = np.arange(order.shape[0], dtype=order.dtype)
     by_edge = np.argsort(edge)
     grouped = edge[by_edge]
-    starts = np.flatnonzero(np.concatenate(([True], grouped[1:] != grouped[:-1])))
+    head = np.empty(grouped.shape[0], dtype=bool)
+    head[0] = True
+    np.not_equal(grouped[1:], grouped[:-1], out=head[1:])
     del grouped
-    first = np.minimum.reduceat(position[by_edge], starts)
-    del position, by_edge, starts
-    first.sort()
-    return order[first]
+    starts = np.flatnonzero(head)
+    group = np.cumsum(head) - 1
+    del head
+    part = rank[by_edge]
+    best = part == np.minimum.reduceat(part, starts)[group]
+    part = np.where(best, sub[by_edge], np.iinfo(np.int64).max)
+    best = part == np.minimum.reduceat(part, starts)[group]
+    del part
+    hits = np.flatnonzero(best)
+    del best
+    # The winners of one group are adjacent in ``by_edge``; keep the
+    # lowest row index of each.
+    group = group[hits]
+    lead = np.empty(hits.shape[0], dtype=bool)
+    lead[0] = True
+    np.not_equal(group[1:], group[:-1], out=lead[1:])
+    winners = np.minimum.reduceat(by_edge[hits], np.flatnonzero(lead))
+    winners.sort()
+    return winners
 
 
 def _first_per_edge_fallback(edge, rank, sub) -> List[int]:
     """:func:`_first_per_edge` over plain sequences, as a list of indices."""
-    seen: Set[int] = set()
-    keep: List[int] = []
-    for i in sorted(range(len(edge)), key=lambda i: (rank[i], sub[i])):
-        if edge[i] not in seen:
-            seen.add(edge[i])
-            keep.append(i)
-    return keep
+    first: Dict[int, int] = {}
+    for i, value in enumerate(edge):
+        j = first.get(value)
+        if j is None or (rank[i], sub[i]) < (rank[j], sub[j]):
+            first[value] = i
+    return sorted(first.values())
+
+
+#: A log holding at least this many rows, and twice as many as its last
+#: reduce left, reduces itself in place (see :meth:`EdgeLog.settle`).
+_REDUCE_MIN_ROWS = 1 << 16
 
 
 class EdgeLog:
@@ -996,17 +997,22 @@ class EdgeLog:
     edge emitted twice simply keeps two rows until :meth:`drain` keeps the
     first row per edge in ``(rank, sub)`` order (the batch engines'
     "earliest firing attempt") and replays the survivors, in that order,
-    into a commit relation's co rows.  A row costs 24 bytes.
+    into a commit relation's co rows.  A row costs 24 bytes.  Many reads
+    of one write can emit the same edge once per reader and writer
+    session, so the checkers call :meth:`settle` after each batch: once
+    the rows have doubled since the last reduce (and number at least
+    ``_REDUCE_MIN_ROWS``) the log keeps only each edge's first row, which
+    bounds it to about two rows per distinct edge.
 
     The halves are plain int64 columns, so no component shares bits with
     another and no range guard is needed beyond the 32-bit packed edge
     itself.  Both the numpy path and its pure-Python twin reproduce
     ``sorted(rows, key=(sid, sidx, attempt, key))`` with first-per-edge
     dedup exactly (property-tested in ``tests/test_columnar_fold.py``).
-    Pickles as the three column buffers.
+    Pickles as the three column buffers and the reduce threshold.
     """
 
-    __slots__ = ("edge", "rank", "sub")
+    __slots__ = ("edge", "rank", "sub", "_reduce_at")
 
     def __init__(self) -> None:
         self.clear()
@@ -1025,6 +1031,37 @@ class EdgeLog:
         self.edge.frombytes(edges.tobytes())
         self.rank.frombytes(ranks.tobytes())
         self.sub.frombytes(subs.tobytes())
+
+    def settle(self) -> None:
+        """Reduce in place if the rows have doubled since the last reduce."""
+        if len(self.edge) >= self._reduce_at:
+            self.reduce()
+
+    def reduce(self) -> None:
+        """Keep only the first row per edge; the survivors keep their order.
+
+        Exact for the same reason as :meth:`spill`: the drain's
+        first-per-edge over the remaining rows picks the same row.
+        """
+        if self.edge:
+            if _np is not None:
+                columns = (
+                    _np.frombuffer(self.edge, dtype=_np.uint64),
+                    _np.frombuffer(self.rank, dtype=_np.int64),
+                    _np.frombuffer(self.sub, dtype=_np.int64),
+                )
+                sel = _first_per_edge(*columns)
+                self.edge, self.rank, self.sub = (
+                    _column(code, column[sel]) for code, column in zip("Qqq", columns)
+                )
+            else:
+                columns = (self.edge, self.rank, self.sub)
+                sel = _first_per_edge_fallback(*columns)
+                self.edge, self.rank, self.sub = (
+                    array(code, [column[i] for i in sel])
+                    for code, column in zip("Qqq", columns)
+                )
+        self._reduce_at = max(_REDUCE_MIN_ROWS, 2 * len(self.edge))
 
     def spill(self, new_base: int) -> Optional[Tuple[bytes, bytes, bytes]]:
         """Remove the rows whose low endpoint is below ``new_base``.
@@ -1104,8 +1141,10 @@ class EdgeLog:
             return
         if _np is not None:
             e = _np.frombuffer(self.edge, dtype=_np.uint64)
+            r = _np.frombuffer(self.rank, dtype=_np.int64)
             s = _np.frombuffer(self.sub, dtype=_np.int64)
-            sel = _first_per_edge(e, _np.frombuffer(self.rank, dtype=_np.int64), s)
+            sel = _first_per_edge(e, r, s)
+            sel = sel[_np.lexsort((s[sel], r[sel]))]
             e = e[sel]
             remap = _np.asarray(mapping, dtype=_np.uint64)
             src = remap[(e >> EDGE_SHIFT).astype(_np.int64)]
@@ -1114,10 +1153,12 @@ class EdgeLog:
             relation._co_keys.frombytes(((s[sel] & EDGE_MASK) - 1).tobytes())
         else:
             edge = self.edge
+            rank = self.rank
             sub = self.sub
             co_append = relation._co_log.append
             cok_append = relation._co_keys.append
-            for i in _first_per_edge_fallback(edge, self.rank, sub):
+            first = _first_per_edge_fallback(edge, rank, sub)
+            for i in sorted(first, key=lambda i: (rank[i], sub[i])):
                 co_append(
                     (mapping[edge[i] >> EDGE_SHIFT] << EDGE_SHIFT)
                     | mapping[edge[i] & EDGE_MASK]
@@ -1130,12 +1171,13 @@ class EdgeLog:
         self.edge = array("Q")
         self.rank = array("q")
         self.sub = array("q")
+        self._reduce_at = _REDUCE_MIN_ROWS
 
     def __getstate__(self):
-        return (self.edge, self.rank, self.sub)
+        return (self.edge, self.rank, self.sub, self._reduce_at)
 
-    def __setstate__(self, columns) -> None:
-        self.edge, self.rank, self.sub = columns
+    def __setstate__(self, state) -> None:
+        self.edge, self.rank, self.sub, self._reduce_at = state
 
 
 # -- online read resolution (the streaming fold's classify kernel) -------------

@@ -1049,17 +1049,19 @@ class CompiledIncrementalChecker:
             res.nh_wid, res.nh_tid, res.nh_windex, res.nh_flag
         )
 
-        if self._cc_probe_pending:
-            # Answer every CC probe deferred by _cc_process in one flush per
-            # batch; the time belongs to the clock_join lap (it *is* the
-            # saturation half of the CC work) and is therefore accounted
-            # before the classify subtraction below.
-            if laps is not None:
-                flush_mark = time.perf_counter()
-                self._flush_cc_probes()
-                laps["clock_join"] += time.perf_counter() - flush_mark
-            else:
-                self._flush_cc_probes()
+        # Answer every CC probe deferred by _cc_process in one flush per
+        # batch, then let the edge logs reduce themselves if they doubled;
+        # the time belongs to the clock_join lap (it *is* the saturation
+        # half of the CC work) and is therefore accounted before the
+        # classify subtraction below.
+        if laps is not None:
+            flush_mark = time.perf_counter()
+            self._flush_cc_probes()
+            self._settle_logs()
+            laps["clock_join"] += time.perf_counter() - flush_mark
+        else:
+            self._flush_cc_probes()
+            self._settle_logs()
         if laps is not None:
             # The fold loop is classification + frontier work; the CC clock
             # joins and the resolve-kernel dispatch time themselves (into
@@ -1446,6 +1448,10 @@ class CompiledIncrementalChecker:
         """
         if self._results is not None:
             raise RuntimeError("cannot checkpoint a finalized checker")
+        # Store the edge logs reduced, so the file grows with distinct
+        # edges rather than emissions (exact, as in EdgeLog.settle).
+        for log in self._edge_logs():
+            log.reduce()
         payload = {
             "records_consumed": self._next_tid,
             "levels": [level.name for level in self._levels],
@@ -2558,6 +2564,14 @@ class CompiledIncrementalChecker:
                     sub_append(attempt | key1)
                     attempt += _ATTEMPT_STEP
 
+    def _edge_logs(self) -> Tuple["_kernels.EdgeLog", ...]:
+        return (self._rc_log, self._ra_log, self._ra_so_log, self._cc_log)
+
+    def _settle_logs(self) -> None:
+        """Reduce each edge log in place once its rows doubled (EdgeLog.settle)."""
+        for log in self._edge_logs():
+            log.settle()
+
     def _flush_cc_probes(self) -> None:
         """Answer every CC probe deferred by ``_cc_process`` since last flush.
 
@@ -2986,21 +3000,14 @@ class CompiledIncrementalChecker:
         )
 
 
-#: What unpickling a truncated or bit-flipped checkpoint raises: the
-#: pickle machinery's own errors, plus whatever a garbled opcode stream
-#: makes it call (a bogus global, a bad constructor argument, a huge length).
-_CORRUPT_PICKLE_ERRORS = (
-    pickle.UnpicklingError,
-    EOFError,
-    AttributeError,
-    ImportError,
-    IndexError,
-    KeyError,
-    MemoryError,
-    OverflowError,
-    TypeError,
-    ValueError,
-)
+#: What unpickling a truncated checkpoint raises (a sweep of cuts through a
+#: real checkpoint saw nothing else); most bit flips raise these too.
+_TRUNCATED_PICKLE_ERRORS = (pickle.UnpicklingError, EOFError)
+
+#: What a bit flip can raise besides those (a bogus global, a bad
+#: constructor argument).  A program defect raises the same types,
+#: so the diagnostic for these quotes the original exception.
+_GARBLED_PICKLE_ERRORS = (AttributeError, ImportError, TypeError, ValueError)
 
 
 def _corrupt_checkpoint(path: str) -> str:
@@ -3015,12 +3022,14 @@ def load_checkpoint(
     The returned checker has consumed ``checker.num_transactions`` records;
     skip that many records of the stream and keep appending.  Raises
     :class:`~repro.core.exceptions.HistoryFormatError` on a bad header, an
-    older format version, or a truncated or corrupt body, or -- when ``source_path`` is given and the checkpoint recorded a source
-    fingerprint -- when ``source_path`` is not the history the checkpoint
-    was taken from (resuming against a different file would silently mix
-    two runs; the comparison re-hashes the recorded prefix length, so a
-    log that merely *grew* since the save still matches).  Checkpoints are
-    pickles: load only files you wrote yourself.
+    older format version, or a truncated or corrupt body (a body that
+    unpickles into a type or value error quotes it: a defect in this build
+    raises those too), or -- when ``source_path`` is given and the
+    checkpoint recorded a source fingerprint -- when ``source_path`` is not
+    the history the checkpoint was taken from (resuming against a different
+    file would silently mix two runs; the comparison re-hashes the recorded
+    prefix length, so a log that merely *grew* since the save still
+    matches).  Checkpoints are pickles: load only files you wrote yourself.
     """
     with open(path, "rb") as handle:
         magic = handle.read(len(CHECKPOINT_MAGIC))
@@ -3035,8 +3044,14 @@ def load_checkpoint(
             )
         try:
             payload = pickle.load(handle)
-        except _CORRUPT_PICKLE_ERRORS as exc:
+        except _TRUNCATED_PICKLE_ERRORS as exc:
             raise HistoryFormatError(_corrupt_checkpoint(path)) from exc
+        except _GARBLED_PICKLE_ERRORS as exc:
+            raise HistoryFormatError(
+                f"{path}: checkpoint cannot be loaded ({type(exc).__name__}: "
+                f"{exc}); it is corrupt or from an incompatible build; re-run "
+                "without --resume"
+            ) from exc
     checker = payload.get("checker") if isinstance(payload, dict) else None
     if not isinstance(checker, CompiledIncrementalChecker):
         raise HistoryFormatError(_corrupt_checkpoint(path))

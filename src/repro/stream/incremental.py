@@ -451,6 +451,8 @@ class IncrementalChecker:
             rec.resolved = True
             self._advance_ra(rec.sid)
             self._advance_cc(rec.sid)
+        for log in (self._rc_log, self._ra_log, self._ra_so_log, self._cc_log):
+            log.settle()
         if self._retire is not None:
             self._maybe_retire()
         self._elapsed += time.perf_counter() - start

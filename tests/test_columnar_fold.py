@@ -18,7 +18,7 @@ import pickle
 import subprocess
 import sys
 from array import array
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import pytest
 from hypothesis import given, settings
@@ -199,7 +199,7 @@ _WIDE = st.sampled_from([0, 1, 2, (1 << 24) - 1, 1 << 24, (1 << 24) + 1, (1 << 3
 
 @st.composite
 def edge_log_rows(draw):
-    """Rows ``(t2, t1, sid, sidx, attempt, kid)`` plus interleaved spill cuts.
+    """Rows ``(t2, t1, sid, sidx, attempt, kid)``, spill cuts and reduce points.
 
     Tids are drawn from a small range so edges repeat; the sort key
     ``(sid, sidx, attempt, kid)`` is unique per row, as it is per emission
@@ -219,18 +219,23 @@ def edge_log_rows(draw):
             unique_by=lambda row: row[2:],
         )
     )
-    spills = draw(
-        st.dictionaries(st.integers(0, max(len(rows) - 1, 0)), st.integers(0, 10))
-    )
-    return rows, spills
+    cut = st.integers(0, max(len(rows) - 1, 0))
+    spills = draw(st.dictionaries(cut, st.integers(0, 10)))
+    reduces = draw(st.sets(cut))
+    return rows, spills, reduces
 
 
-def _drain_rows(rows, spills):
-    """Feed ``rows`` to an EdgeLog, spilling at ``spills``, and drain it."""
+def _drain_rows(rows, spills, reduces=()):
+    """Feed ``rows`` to an EdgeLog, spilling at ``spills``, and drain it.
+
+    The log reduces itself in place after each row index in ``reduces``.
+    """
     log = kernels.EdgeLog()
     spilled = kernels.EdgeLog()
     for i, (t2, t1, sid, sidx, attempt, kid) in enumerate(rows):
         log.append((t2 << 32) | t1, (sid << 32) | sidx, (attempt << 32) | (kid + 1))
+        if i in reduces:
+            log.reduce()
         if i in spills:
             payload = log.spill(spills[i])
             if payload is not None:
@@ -250,7 +255,7 @@ class TestEdgeLog:
     @settings(deadline=None, max_examples=150)
     @given(case=edge_log_rows())
     def test_drain_matches_sorted_reference(self, case):
-        rows, spills = case
+        rows, spills, reduces = case
         want_edges, want_keys, seen = [], [], set()
         for t2, t1, _sid, _sidx, _attempt, kid in sorted(rows, key=lambda r: r[2:]):
             if (t2, t1) not in seen:
@@ -258,10 +263,10 @@ class TestEdgeLog:
                 want_edges.append(((9 - t2) << 32) | (9 - t1))
                 want_keys.append(kid)
         with fallback_modules():
-            twin = _drain_rows(rows, spills)
+            twin = _drain_rows(rows, spills, reduces)
         assert twin == (want_edges, want_keys)
         if kernels.HAVE_NUMPY:
-            assert _drain_rows(rows, spills) == twin
+            assert _drain_rows(rows, spills, reduces) == twin
 
     def test_spill_takes_rows_by_low_endpoint(self):
         log = kernels.EdgeLog()
@@ -275,11 +280,45 @@ class TestEdgeLog:
         assert list(log.rank) == [1, 2] and list(log.sub) == [5, 7]
         assert log.spill(3) is None
 
+    @pytest.mark.parametrize("fallback", [False, True], ids=["numpy", "fallback"])
+    def test_settle_reduces_once_rows_double(self, monkeypatch, fallback):
+        if not fallback and not kernels.HAVE_NUMPY:
+            pytest.skip("numpy unavailable")
+        monkeypatch.setattr(kernels, "_REDUCE_MIN_ROWS", 4)
+        with fallback_modules() if fallback else nullcontext():
+            log = kernels.EdgeLog()
+            for edge, rank in ((7, 5), (7, 3), (9, 4)):
+                log.append(edge, rank, 0)
+            log.settle()
+            assert len(log) == 3  # below the floor
+            log.append(7, 4, 0)
+            log.settle()
+            # First row per edge by rank, in append order; next reduce at
+            # max(floor, 2 * 2) rows.
+            assert (list(log.edge), list(log.rank)) == ([7, 9], [3, 4])
+            log.append(9, 1, 0)
+            log.settle()
+            assert len(log) == 3
+            log.append(9, 2, 0)
+            log.settle()
+            assert (list(log.edge), list(log.rank)) == ([7, 9], [3, 1])
+
+    def test_checkpoint_stores_reduced_logs(self, tmp_path):
+        checker = CompiledIncrementalChecker(num_sessions=1)
+        checker._cc_log.append(5, 2, 1)
+        checker._cc_log.append(5, 1, 1)
+        checker.save_checkpoint(str(tmp_path / "state.awd"))
+        clone = load_checkpoint(str(tmp_path / "state.awd"))
+        for log in (checker._cc_log, clone._cc_log):
+            assert (list(log.edge), list(log.rank), list(log.sub)) == ([5], [1], [1])
+
     def test_pickles_as_columns(self):
         log = kernels.EdgeLog()
         log.append((3 << 32) | 1, 7, 9)
+        log.reduce()
         clone = pickle.loads(pickle.dumps(log, protocol=pickle.HIGHEST_PROTOCOL))
         assert (list(clone.edge), list(clone.rank), list(clone.sub)) == ([(3 << 32) | 1], [7], [9])
+        assert clone._reduce_at == log._reduce_at == kernels._REDUCE_MIN_ROWS
 
 
 # -- checkpoint versions and whole-check identity ---------------------------------
@@ -357,14 +396,24 @@ class TestCrossVersionCheckpoints:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "unsupported checkpoint version" in err
 
-    @pytest.mark.parametrize("retire", [False, True], ids=["keep", "retire"])
-    @pytest.mark.parametrize("fallback", [False, True], ids=["numpy", "fallback"])
-    @pytest.mark.parametrize("batch_ops", [1, 64, 4096])
-    def test_v7_resume(self, tmp_path, batch_ops, fallback, retire):
+    def _resume_matches_batch(self, tmp_path, monkeypatch, batch_ops, fallback,
+                              retire, eager):
         # RC, RA and CC at once: a mid-stream v7 checkpoint, resumed on
         # either kernel path, with and without retirement spilling
         # edge-log rows into segments, reproduces the batch engine's
-        # verdicts, witnesses and inferred-edge counts.
+        # verdicts, witnesses and inferred-edge counts.  ``eager`` drops
+        # the in-place reduce floor so the logs settle mid-stream too.
+        settled = []
+        real_settle = kernels.EdgeLog.settle
+
+        def counting_settle(log):
+            if len(log) >= log._reduce_at:
+                settled.append(len(log))
+            real_settle(log)
+
+        monkeypatch.setattr(kernels.EdgeLog, "settle", counting_settle)
+        if eager:
+            monkeypatch.setattr(kernels, "_REDUCE_MIN_ROWS", 8)
         history, records = _stream_with_gadget()
         want = [
             (level.name, r.is_consistent, [v.message for v in r.violations],
@@ -387,6 +436,24 @@ class TestCrossVersionCheckpoints:
         )
         assert got == want
         assert (checker.live_stats()["spilled_edges"] > 0) == retire
+        assert bool(settled) == eager
+
+    @pytest.mark.parametrize("retire", [False, True], ids=["keep", "retire"])
+    @pytest.mark.parametrize("fallback", [False, True], ids=["numpy", "fallback"])
+    @pytest.mark.parametrize("batch_ops", [1, 64, 4096])
+    def test_v7_resume(self, tmp_path, monkeypatch, batch_ops, fallback, retire):
+        self._resume_matches_batch(
+            tmp_path, monkeypatch, batch_ops, fallback, retire, eager=False
+        )
+
+    @pytest.mark.parametrize("retire", [False, True], ids=["keep", "retire"])
+    @pytest.mark.parametrize("fallback", [False, True], ids=["numpy", "fallback"])
+    @pytest.mark.parametrize("batch_ops", [1, 64, 4096])
+    def test_v7_resume_reducing_in_place(self, tmp_path, monkeypatch, batch_ops,
+                                         fallback, retire):
+        self._resume_matches_batch(
+            tmp_path, monkeypatch, batch_ops, fallback, retire, eager=True
+        )
 
     @pytest.mark.parametrize("batch_ops", [1, 64, 4096])
     def test_fallback_path_answers_identical(self, batch_ops):
@@ -425,6 +492,25 @@ class TestCorruptCheckpoint:
             assert code == 2
             err = capsys.readouterr().err
             assert err == f"awdit: error: {excinfo.value}\n"
+
+
+    def test_garbled_checkpoint_quotes_the_error(self, tmp_path, capsys):
+        # A body naming a module that does not exist -- what a bit flip in
+        # a global opcode, or a class moved by a defect, looks like.
+        path = tmp_path / "garbled.awd"
+        header = online.CHECKPOINT_MAGIC + bytes([online.CHECKPOINT_VERSION])
+        path.write_bytes(header + b"cno_such_module\nThing\n.")
+        with pytest.raises(HistoryFormatError) as excinfo:
+            load_checkpoint(str(path))
+        message = str(excinfo.value)
+        assert "ModuleNotFoundError: No module named 'no_such_module'" in message
+        assert message.endswith("re-run without --resume")
+        history, _ = _stream_with_gadget(txns=20)
+        source = tmp_path / "h.plume"
+        save_history(history, str(source), fmt="plume")
+        argv = ["check", str(source), "--stream", "--checkpoint", str(path), "--resume"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"awdit: error: {message}\n"
 
 
 # -- AWDIT_NO_NUMPY subprocess parity ------------------------------------------

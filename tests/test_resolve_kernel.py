@@ -157,7 +157,8 @@ def run_stream(records, num_sessions, batch_ops, fallback=False, retire=None,
     """Stream ``records`` through one checker and digest its results.
 
     ``resume=(path, cut)`` checkpoints after the first ``cut`` records and
-    finishes the stream on the checker reloaded from ``path``.
+    finishes the stream on the checker reloaded from ``path``; with
+    ``retire`` the checkpoint must straddle real evictions.
     """
     ctx = fallback_modules() if fallback else vector_floor()
     with ctx:
@@ -167,6 +168,7 @@ def run_stream(records, num_sessions, batch_ops, fallback=False, retire=None,
         else:
             path, cut = resume
             checker.extend_raw(iter(records[:cut]), batch_ops=batch_ops)
+            assert retire is None or checker._txns_base > 0
             checker.save_checkpoint(path)
             checker = load_checkpoint(path)
             checker.extend_raw(iter(records[cut:]), batch_ops=batch_ops)
