@@ -13,6 +13,7 @@ than any code under test.
 
 from __future__ import annotations
 
+import os
 import time
 
 _KERNEL_OPS = 200_000
@@ -45,3 +46,13 @@ def calibration_seconds(repeats: int = 5) -> float:
         _kernel()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def effective_cpus() -> int:
+    """CPUs actually usable by this process (affinity-aware)."""
+    if hasattr(os, "sched_getaffinity"):
+        try:
+            return len(os.sched_getaffinity(0)) or 1
+        except OSError:  # pragma: no cover - exotic platforms
+            pass
+    return os.cpu_count() or 1

@@ -41,7 +41,7 @@ import sys
 import tempfile
 import time
 
-from _calibration import calibration_seconds
+from _calibration import calibration_seconds, effective_cpus
 
 from repro.core import IsolationLevel
 from repro.core.compiled import kernels
@@ -53,7 +53,6 @@ from repro.histories.generator import (
     generate_random_history,
     generate_random_stream,
 )
-from repro.shard.parallel import effective_cpus
 from repro.stream import check_stream_file
 
 TOLERANCE = 1.25  # fail when current > baseline * TOLERANCE

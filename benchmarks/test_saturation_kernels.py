@@ -1,8 +1,8 @@
 """Vectorized saturation-kernel benchmarks and the cross-PR ``BENCH_7.json``.
 
 PR 7 rebuilt the CC/RC/RA saturation passes on one numpy core
-(:mod:`repro.core.compiled.kernels`) shared by the batch checkers, the
-streaming fold's deferred probe flush, and the shard workers, because
+(:mod:`repro.core.compiled.kernels`) shared by the batch checkers and the
+streaming fold's deferred probe flush, because
 ``BENCH_5.json`` showed the saturation lap (0.31s of the 0.46s batch
 check) and ``BENCH_6.json`` showed the fold clock-join lap (0.78s of the
 1.67s pipeline) as the two remaining scalar hot loops.  This module
@@ -29,11 +29,7 @@ same machine state, and the per-round ratio factors the throttling out.
 
 Everything lands in the repo-root ``BENCH_7.json``; the CI ``perf-guard``
 job re-measures batch CC, the saturation lap, the pipeline, and the fold
-against it.  The shard section is honest about CPU count: on a 1-CPU
-container it records only the caveat, and the CI ``shard-scaling-bench``
-job (a multi-core runner) re-runs this module and uploads its
-``BENCH_7.json`` -- with real ``jobs=2`` shard numbers filled in -- as
-an artifact.
+against it.
 """
 
 from __future__ import annotations
@@ -58,8 +54,6 @@ from repro.core.compiled.ir import compile_history
 from repro.histories.formats import save_history
 from repro.histories.formats._raw import DEFAULT_BATCH_OPS
 from repro.histories.generator import RandomHistoryConfig, generate_random_history
-from repro.shard import check_sharded
-from repro.shard.parallel import effective_cpus
 from repro.stream import check_stream_file
 
 _ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -174,64 +168,6 @@ def test_bench7_snapshot(tmp_path, results):
     fallback_lap = _best_of(_saturate_fallback)
     co_appends = len(_saturate()._co_log)
 
-    # -- multicore shard speedup (only where CPUs exist to measure it) ---------
-    cpus = effective_cpus()
-    if cpus >= 2:
-        shard_jobs = min(4, cpus)
-        shard_seconds = {
-            str(jobs): round(
-                _best_of(lambda j=jobs: check_sharded(ch, CC, jobs=j, mode="auto")), 4
-            )
-            for jobs in (1, shard_jobs)
-        }
-        shard_section = {
-            "note": f"measured on this {cpus}-CPU runner; saturation tasks "
-            "dispatch to the same vectorized-or-fallback kernels inside "
-            "each worker",
-            "cpus": cpus,
-            "seconds_by_jobs": shard_seconds,
-            "speedup": round(
-                shard_seconds["1"] / shard_seconds[str(shard_jobs)], 3
-            ),
-        }
-    else:
-        # One visible CPU: a real speedup is unmeasurable here, but the
-        # cost side of the ledger is -- force the worker pool anyway and
-        # record what fork/IPC adds when two workers timeshare one CPU.
-        # The committed numbers are honest about that (no speedup is
-        # claimed); the CI shard-scaling-bench job re-runs this module on
-        # a multi-core runner and uploads its BENCH_7.json artifact with
-        # a real jobs=2 speedup in this section.
-        from repro.shard import parallel as _parallel
-
-        jobs1_seconds = _best_of(
-            lambda: check_sharded(ch, CC, jobs=1, mode="auto")
-        )
-        saved_cpus = _parallel.effective_cpus
-        _parallel.effective_cpus = lambda: 2
-        try:
-            jobs2_seconds = _best_of(
-                lambda: check_sharded(ch, CC, jobs=2, mode="auto")
-            )
-        finally:
-            _parallel.effective_cpus = saved_cpus
-        shard_section = {
-            "note": "this container exposes 1 CPU: jobs=2 was measured "
-            "with the worker pool forced on, so two workers timeshare one "
-            "core and the delta is the fork/IPC overhead a multicore "
-            "machine amortizes -- NOT a speedup claim; the CI "
-            "shard-scaling-bench job re-runs this module on a multi-core "
-            "runner and uploads its BENCH_7.json (with a real jobs=2 "
-            "speedup here) as an artifact",
-            "cpus": cpus,
-            "timeshared": True,
-            "seconds_by_jobs": {
-                "1": round(jobs1_seconds, 4),
-                "2": round(jobs2_seconds, 4),
-            },
-            "fork_ipc_overhead": round(jobs2_seconds / jobs1_seconds, 3),
-        }
-
     # The streaming pipeline is the unit under test below; a 120k-op
     # object history kept alive during the rounds makes every gen-2 GC
     # pass walk it and inflates the measurement by ~2x on this container.
@@ -321,7 +257,6 @@ def test_bench7_snapshot(tmp_path, results):
             "is asserted to never be the worst column",
             **by_batch_ops,
         },
-        "shard_multicore": shard_section,
     }
     with open(BENCH7_PATH, "w", encoding="utf-8") as handle:
         json.dump(snapshot, handle, indent=2)

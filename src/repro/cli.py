@@ -62,33 +62,19 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "check the file in one streaming pass (memory proportional to live "
             "state, not history size); composes with --engine (compiled online "
-            "core by default, 'object' for the reference streaming checker) "
-            "and --jobs (byte-range parallel ingestion); only the awdit "
-            "checker supports this"
+            "core by default, 'object' for the reference streaming checker); "
+            "only the awdit checker supports this"
         ),
     )
     check_parser.add_argument(
         "--engine",
         default="auto",
-        choices=["auto", "compiled", "sharded", "object"],
+        choices=["auto", "compiled", "object"],
         help=(
             "checking engine: 'compiled' runs on the interned array IR "
-            "(default via 'auto'), 'sharded' additionally parallelizes "
-            "across --jobs worker processes, 'object' runs the reference "
+            "(default via 'auto'), 'object' runs the reference "
             "object-model checkers; orthogonal to --stream (each engine has "
             "a batch and a streaming form); conflicts with baseline checkers"
-        ),
-    )
-    check_parser.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "check with N worker processes: shards the batch engines, "
-            "parallelizes file ingestion for --stream (selects the sharded "
-            "engine; conflicts with --engine object and baseline checkers)"
         ),
     )
     check_parser.add_argument(
@@ -229,17 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     stats_parser.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "ingest through N shard builders and also report the per-shard "
-            "intern-table cardinalities the merge reconciles"
-        ),
-    )
-    stats_parser.add_argument(
         "--retire",
         action="store_true",
         help=(
@@ -270,14 +245,13 @@ def _check_flag_conflicts(args: argparse.Namespace, checker_name: str) -> Option
     """The flag-conflict message for ``awdit check``, or ``None`` if coherent.
 
     Engine and mode are orthogonal axes (``--stream --engine compiled`` is
-    the default streaming path, ``--stream --jobs N`` parallelizes the
-    ingestion), so only genuinely incoherent combinations are rejected:
-    baseline checkers with awdit-engine flags, the single-process engines
-    with ``--jobs``, and checkpointing outside the compiled streaming path.
+    the default streaming path), so only genuinely incoherent combinations
+    and out-of-range sizes are rejected: baseline checkers with awdit-engine
+    flags, and checkpointing outside the compiled streaming path.
     """
     is_baseline = checker_name not in ("awdit", "default")
-    if args.jobs is not None and args.jobs < 1:
-        return f"--jobs must be >= 1, got {args.jobs}"
+    if args.witnesses < 0:
+        return f"--witnesses must be >= 0, got {args.witnesses}"
     if args.batch_ops is not None:
         if args.batch_ops < 1:
             return f"--batch-ops must be >= 1, got {args.batch_ops}"
@@ -341,36 +315,17 @@ def _check_flag_conflicts(args: argparse.Namespace, checker_name: str) -> Option
     if args.stream:
         if is_baseline:
             return f"--stream supports only the awdit checker, not {args.checker!r}"
-        if args.engine == "object":
-            if args.jobs is not None:
-                return (
-                    "--stream --engine object is the single-process reference "
-                    "streaming checker; it cannot use --jobs (drop one)"
-                )
-            if args.checkpoint is not None or args.resume:
-                return (
-                    "checkpoint/resume require the compiled streaming engine; "
-                    "--engine object has no checkpoint support"
-                )
+        if args.engine == "object" and (args.checkpoint is not None or args.resume):
+            return (
+                "checkpoint/resume require the compiled streaming engine; "
+                "--engine object has no checkpoint support"
+            )
         return None
-    if is_baseline:
-        if checker_name not in BASELINE_REGISTRY:
-            return None  # unknown checker: reported separately
-        if args.engine != "auto":
-            return (
-                f"--engine selects an awdit engine; baseline checker "
-                f"{args.checker!r} has its own implementation (drop --engine "
-                f"or --checker)"
-            )
-        if args.jobs is not None:
-            return (
-                f"--jobs shards the awdit engine; baseline checker "
-                f"{args.checker!r} is single-process (drop --jobs or --checker)"
-            )
-    if args.engine in ("object", "compiled") and args.jobs is not None:
+    if is_baseline and checker_name in BASELINE_REGISTRY and args.engine != "auto":
         return (
-            f"--jobs requires the sharded engine; the {args.engine!r} engine "
-            "is single-process (drop --jobs or use --engine sharded)"
+            f"--engine selects an awdit engine; baseline checker "
+            f"{args.checker!r} has its own implementation (drop --engine "
+            f"or --checker)"
         )
     return None
 
@@ -382,7 +337,6 @@ def _check_flag_conflicts(args: argparse.Namespace, checker_name: str) -> Option
 _PROFILE_PHASES = (
     ("parse", ""),
     ("build", ""),
-    ("ingest", ""),  # sharded parse+build, fused across parallel workers
     ("fold", ""),  # streaming: whole online fold, split into the laps below
     ("fold_intern", "  "),
     ("fold_dispatch", "  "),
@@ -467,7 +421,10 @@ def _retire_policy(args: argparse.Namespace):
 
 
 def _run_check(args: argparse.Namespace) -> int:
-    level = IsolationLevel.from_string(args.isolation)
+    try:
+        level = IsolationLevel.from_string(args.isolation)
+    except ValueError as exc:
+        return _conflict(str(exc))
     checker_name = args.checker.lower()
     conflict = _check_flag_conflicts(args, checker_name)
     if conflict is not None:
@@ -488,7 +445,6 @@ def _run_check(args: argparse.Namespace) -> int:
             level,
             fmt=args.format,
             engine=args.engine,
-            jobs=args.jobs,
             max_witnesses=args.witnesses,
             checkpoint=args.checkpoint,
             checkpoint_every=(
@@ -503,40 +459,7 @@ def _run_check(args: argparse.Namespace) -> int:
             gc_tune=args.gc_tune,
         )
     elif checker_name in ("awdit", "default"):
-        engine = args.engine
-        if engine == "auto" and args.jobs is not None:
-            engine = "sharded"
-        if engine == "sharded":
-            from repro.shard import default_jobs, load_compiled_sharded, will_parallelize
-
-            jobs = args.jobs if args.jobs is not None else default_jobs()
-            if will_parallelize(jobs):
-                if profile_timings is not None:
-                    # The sharded ingest fuses parse and build across its
-                    # workers; report the combined phase rather than
-                    # silently dropping it from the profile.
-                    ingest_start = time.perf_counter()
-                compiled = load_compiled_sharded(
-                    args.history, jobs, fmt=args.format, batch_ops=args.batch_ops
-                )
-                if profile_timings is not None:
-                    profile_timings["ingest"] = time.perf_counter() - ingest_start
-            else:
-                # The check will fall back to the single-process engine, so
-                # skip the shard-merge ingest overhead as well.
-                from repro.histories.formats import load_compiled
-
-                compiled = load_compiled(
-                    args.history,
-                    fmt=args.format,
-                    timings=profile_timings,
-                    batch_ops=args.batch_ops,
-                )
-            result = check(
-                compiled, level, max_witnesses=args.witnesses,
-                engine="sharded", jobs=jobs,
-            )
-        elif engine in ("auto", "compiled"):
+        if args.engine in ("auto", "compiled"):
             # The compiled path can ingest the file without materializing
             # the object model at all.
             from repro.histories.formats import load_compiled
@@ -573,18 +496,22 @@ def _run_generate(args: argparse.Namespace) -> int:
     from repro.db.profiles import profile_by_name, with_overrides
     from repro.workloads import collect_history, workload_by_name
 
-    workload = workload_by_name(args.workload)
-    profile = profile_by_name(args.database)
-    if args.isolation_mode:
-        profile = with_overrides(profile, isolation=IsolationMode(args.isolation_mode))
-    profile = with_overrides(profile, seed=args.seed)
-    history = collect_history(
-        workload,
-        profile,
-        num_sessions=args.sessions,
-        num_transactions=args.transactions,
-        seed=args.seed,
-    )
+    try:
+        workload = workload_by_name(args.workload)
+        profile = profile_by_name(args.database)
+        if args.isolation_mode:
+            profile = with_overrides(profile, isolation=IsolationMode(args.isolation_mode))
+        profile = with_overrides(profile, seed=args.seed)
+        history = collect_history(
+            workload,
+            profile,
+            num_sessions=args.sessions,
+            num_transactions=args.transactions,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        # Unknown names and out-of-range sizes are usage errors.
+        return _conflict(str(exc))
     save_history(history, args.output, fmt=args.format)
     print(f"wrote {history.describe()} to {args.output}")
     return 0
@@ -618,21 +545,8 @@ def _run_stats(args: argparse.Namespace) -> int:
             "--retire bounds the online streaming state; it requires --stream"
         )
     if args.stream:
-        if args.jobs is not None:
-            return _conflict(
-                "--stream reports the online core's live state; it conflicts "
-                "with the --jobs shard-merge report (drop one)"
-            )
         return _run_stats_stream(args)
-    shard_stats = None
-    if args.jobs is not None:
-        if args.jobs < 1:
-            return _conflict(f"--jobs must be >= 1, got {args.jobs}")
-        from repro.shard import sharded_ingest
-
-        compiled, shard_stats = sharded_ingest(args.history, args.jobs, fmt=args.format)
-    else:
-        compiled = load_compiled(args.history, fmt=args.format)
+    compiled = load_compiled(args.history, fmt=args.format)
     print(compiled.describe())
     txn_start = compiled.txn_start
     sizes = [
@@ -657,21 +571,6 @@ def _run_stats(args: argparse.Namespace) -> int:
         f"(arrays {footprint['arrays_bytes'] / 1024:.1f} KiB, "
         f"intern tables {footprint['intern_tables_bytes'] / 1024:.1f} KiB)"
     )
-    if shard_stats is not None:
-        # Pre-merge shard cardinalities: how much intern-table state the
-        # shard merge had to reconcile (keys/values interned per shard sum
-        # to more than the merged tables whenever shards overlap).
-        print(f"  shard merge ({len(shard_stats)} shards):")
-        for entry in shard_stats:
-            print(
-                f"    shard {entry.shard}: txns={entry.transactions} "
-                f"sessions={entry.sessions} keys={entry.keys} "
-                f"values={entry.values}"
-            )
-        print(
-            f"    merged : keys={compiled.num_keys} values={compiled.num_values} "
-            f"sessions={compiled.num_sessions}"
-        )
     return 0
 
 
@@ -750,6 +649,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Malformed input and misuse carry file/line context in the message;
         # a traceback would bury it.
         print(f"awdit: error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # A missing or unreadable path is a usage error, not a violation
+        # (exit 1 would read as one).
+        where = f"{exc.filename}: " if exc.filename is not None else ""
+        print(f"awdit: error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 2
     parser.error(f"unknown command {args.command!r}")
     return 2

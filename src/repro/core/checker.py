@@ -6,24 +6,19 @@ linear-time single-session specialization for RA (Theorem 1.6) when it
 applies.  :func:`check_all_levels` runs all three levels sharing a single
 Read Consistency pass.
 
-Three interchangeable engines implement the algorithms:
+Two interchangeable engines implement the algorithms:
 
 * ``"compiled"`` (the default) first compiles the history to the interned
   array IR of :mod:`repro.core.compiled` and runs the int-id checkers -- the
   fast path for anything beyond toy histories.
-* ``"sharded"`` runs the compiled checkers' data-parallel phases across
-  ``jobs`` forked worker processes (:mod:`repro.shard`), falling back to the
-  single-process engine when parallelism cannot help (one CPU, ``jobs=1``,
-  or no ``fork`` support).
 * ``"object"`` runs directly over the :class:`~repro.core.model.History`
   object graph -- kept as the readable reference implementation and as the
   oracle the compiled engine is property-tested against.
 
-All engines return byte-identical results (verdicts, violation kinds,
+Both engines return byte-identical results (verdicts, violation kinds,
 witness renderings, inferred-edge counts).  ``engine="auto"`` resolves to
-``"compiled"``, or to ``"sharded"`` when ``jobs`` is given, except when a
-precomputed object-path :class:`ReadConsistencyReport` is supplied for
-reuse.
+``"compiled"``, except when a precomputed object-path
+:class:`ReadConsistencyReport` is supplied for reuse.
 
 Orthogonal to the engine axis, ``mode`` selects *how* the history is
 traversed:
@@ -32,14 +27,14 @@ traversed:
   history;
 * ``"stream"`` replays the history's transactions in file order through
   the matching *online* engine (:mod:`repro.core.compiled.online` for the
-  compiled/sharded engines, :mod:`repro.stream.incremental` for the object
+  compiled engine, :mod:`repro.stream.incremental` for the object
   engine), which folds each transaction into incrementally-maintained
   state and then finalizes.  Same results, different evaluation order --
   the parity matrix in ``tests/test_matrix.py`` pins every
   ``engine × mode`` cell against every other.
 
 On-disk histories stream through :func:`repro.stream.check_stream_file`
-instead, which adds byte-range parallel ingestion and checkpoint/resume.
+instead, which adds checkpoint/resume and watermark-based retirement.
 """
 
 from __future__ import annotations
@@ -61,7 +56,7 @@ from repro.core.result import CheckResult
 
 __all__ = ["check", "check_all_levels"]
 
-_ENGINES = ("auto", "compiled", "sharded", "object")
+_ENGINES = ("auto", "compiled", "object")
 _MODES = ("batch", "stream")
 
 
@@ -72,7 +67,6 @@ def check(
     use_single_session_fast_path: bool = True,
     read_consistency: Optional[ReadConsistencyReport] = None,
     engine: str = "auto",
-    jobs: Optional[int] = None,
     mode: str = "batch",
 ) -> CheckResult:
     """Check whether ``history`` satisfies ``level``.
@@ -96,14 +90,8 @@ def check(
         pass can be shared across several levels); supplying it pins the
         object engine.
     engine:
-        ``"auto"`` (default), ``"compiled"``, ``"sharded"``, or
-        ``"object"``; see the module docstring.
-    jobs:
-        Worker count for the sharded engine.  Supplying it with
-        ``engine="auto"`` selects the sharded engine; with ``"compiled"`` or
-        ``"object"`` it is a usage error (those engines are single-process
-        by definition).  ``None`` with ``engine="sharded"`` means one worker
-        per available CPU.
+        ``"auto"`` (default), ``"compiled"``, or ``"object"``; see the
+        module docstring.
     mode:
         ``"batch"`` (default) or ``"stream"`` -- see the module docstring.
         Streaming rejects a precomputed ``read_consistency`` report (the
@@ -123,29 +111,7 @@ def check(
         from repro.stream.runner import check_history_stream
 
         return check_history_stream(
-            history, level, engine=engine, jobs=jobs, max_witnesses=max_witnesses
-        )
-    if jobs is not None and engine in ("compiled", "object"):
-        raise ValueError(
-            f"jobs only applies to the sharded engine; engine={engine!r} is "
-            "single-process (drop jobs or pass engine='sharded')"
-        )
-    if engine == "auto" and jobs is not None:
-        engine = "sharded"
-    if engine == "sharded":
-        if read_consistency is not None:
-            raise ValueError(
-                "read_consistency reports belong to the object engine; the "
-                "sharded engine shares its own chunked reports internally"
-            )
-        from repro.shard import check_sharded
-
-        return check_sharded(
-            history,
-            level,
-            jobs=jobs,
-            max_witnesses=max_witnesses,
-            use_single_session_fast_path=use_single_session_fast_path,
+            history, level, engine=engine, max_witnesses=max_witnesses
         )
     if isinstance(history, CompiledHistory):
         if engine == "object":
@@ -198,7 +164,6 @@ def check_all_levels(
     max_witnesses: Optional[int] = None,
     use_single_session_fast_path: bool = True,
     engine: str = "auto",
-    jobs: Optional[int] = None,
     mode: str = "batch",
 ) -> Dict[IsolationLevel, CheckResult]:
     """Check the history against RC, RA, and CC, sharing one Read Consistency pass.
@@ -206,9 +171,7 @@ def check_all_levels(
     Each level goes through the same dispatch as a standalone :func:`check`
     call, so specializations such as the single-session RA fast path apply
     identically here.  With the default compiled engine the history is
-    compiled once and all three levels run on the same IR; the sharded
-    engine likewise compiles once and runs each level's parallel phase on
-    the shared IR.
+    compiled once and all three levels run on the same IR.
     """
     if engine not in _ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
@@ -218,26 +181,10 @@ def check_all_levels(
         from repro.stream.runner import check_all_levels_history_stream
 
         return check_all_levels_history_stream(
-            history, engine=engine, jobs=jobs, max_witnesses=max_witnesses
+            history, engine=engine, max_witnesses=max_witnesses
         )
-    if jobs is not None and engine in ("compiled", "object"):
-        raise ValueError(
-            f"jobs only applies to the sharded engine; engine={engine!r} is "
-            "single-process (drop jobs or pass engine='sharded')"
-        )
-    if engine == "auto" and jobs is not None:
-        engine = "sharded"
     if isinstance(history, CompiledHistory) and engine == "object":
         raise ValueError("a CompiledHistory requires a compiled-IR engine")
-    if engine == "sharded":
-        from repro.shard import check_all_levels_sharded
-
-        return check_all_levels_sharded(
-            history,
-            jobs=jobs,
-            max_witnesses=max_witnesses,
-            use_single_session_fast_path=use_single_session_fast_path,
-        )
     if engine != "object" or isinstance(history, CompiledHistory):
         return check_all_levels_compiled(
             history,

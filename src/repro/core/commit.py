@@ -31,10 +31,9 @@ for an edge already labelled ``so`` is retained alongside it and preferred
 when rendering witnesses, so cycle reports never lose the witnessing key.
 
 The relation is normally built from a :class:`~repro.core.model.History`;
-the compiled checkers append packed rows straight into the logs, the
-streaming checkers drain their packed edge logs into them at finalize, and
-the sharded engine concatenates per-shard log slices with one C-level
-``extend`` per shard -- none of these paths rehash an edge.
+the compiled checkers append packed rows straight into the logs and the
+streaming checkers drain their packed edge logs into them at finalize --
+neither path rehashes an edge.
 
 Key encoding: a relation built with ``key_names`` stores dense integer key
 ids in its key rows (``-1`` encodes "no key") and decodes them through the

@@ -14,16 +14,9 @@ The module deliberately reaches into the IR's internal flat arrays
 (``_xr_*``, ``_kw_*``) instead of the iterator accessors: these loops are the
 hot path the compiled layer exists for.  The saturation inner loops
 themselves live in :mod:`repro.core.compiled.kernels` (one vectorized /
-fallback pair per rule, shared with the online fold and the shard workers);
+fallback pair per rule, shared with the online fold);
 ``saturate_{rc,ra,cc}_compiled`` are re-exported here for compatibility and
 report which kernel ran in the result's ``saturation_kernel`` stat.
-
-The per-transaction passes accept an optional ``tid_range`` and the
-per-session saturations an optional ``sessions`` restriction.  These exist
-for the sharded engine (:mod:`repro.shard`): a shard worker runs the *same*
-loop over its slice of the history and the shard merge re-applies the
-results in global order, so sharded checking cannot drift from this module
--- there is only one implementation of each rule.
 """
 
 from __future__ import annotations
@@ -36,7 +29,6 @@ from repro.core.commit import CommitRelation
 from repro.core.compiled.ir import CompiledHistory, compile_history
 from repro.core.compiled.kernels import (
     _external_good_reads,
-    _writers_by_key_compiled,
     saturate_cc_compiled,
     saturate_ra_compiled,
     saturate_rc_compiled,
@@ -84,15 +76,8 @@ class CompiledReadReport:
         return not self.violations
 
 
-def check_read_consistency_compiled(
-    ch: CompiledHistory, tid_range: Optional[Tuple[int, int]] = None
-) -> CompiledReadReport:
-    """Algorithm 4 on the IR (mirror of ``check_read_consistency``).
-
-    ``tid_range`` restricts the pass to transactions ``[lo, hi)`` -- the
-    per-transaction work is independent, so a full report is the chunk
-    reports concatenated in ascending-range order.
-    """
+def check_read_consistency_compiled(ch: CompiledHistory) -> CompiledReadReport:
+    """Algorithm 4 on the IR (mirror of ``check_read_consistency``)."""
     violations: List[Violation] = []
     bad_ops: Set[int] = set()
     op_kind = ch.op_kind
@@ -119,8 +104,7 @@ def check_read_consistency_compiled(
             )
         )
 
-    lo_tid, hi_tid = tid_range if tid_range is not None else (0, ch.num_transactions)
-    for tid in range(lo_tid, hi_tid):
+    for tid in range(ch.num_transactions):
         if not committed[tid]:
             continue
         name = ch.name_of(tid)
@@ -294,15 +278,9 @@ def check_rc_compiled(
 
 
 def check_repeatable_reads_compiled(
-    ch: CompiledHistory,
-    bad_ops: Set[int],
-    tid_range: Optional[Tuple[int, int]] = None,
+    ch: CompiledHistory, bad_ops: Set[int]
 ) -> List[Violation]:
-    """Repeatable-reads pre-check on the IR (mirror of ``check_repeatable_reads``).
-
-    Per-transaction and independent, so ``tid_range`` chunks compose like
-    :func:`check_read_consistency_compiled`.
-    """
+    """Repeatable-reads pre-check on the IR (mirror of ``check_repeatable_reads``)."""
     violations: List[Violation] = []
     op_kind = ch.op_kind
     op_key = ch.op_key
@@ -311,8 +289,7 @@ def check_repeatable_reads_compiled(
     txn_start = ch.txn_start
     committed = ch.txn_committed
     key_names = ch.key_table.values
-    lo_tid, hi_tid = tid_range if tid_range is not None else (0, ch.num_transactions)
-    for tid in range(lo_tid, hi_tid):
+    for tid in range(ch.num_transactions):
         if not committed[tid]:
             continue
         last_writer: Dict[int, int] = {}

@@ -1,13 +1,12 @@
-"""Saturation kernels: one vectorized core for batch, streaming, and shards.
+"""Saturation kernels: one vectorized core for batch and streaming.
 
 The profile after the CSR relation core (``BENCH_5.json``/``BENCH_6.json``)
 put the remaining batch cost almost entirely in the saturation loops of
 :mod:`repro.core.compiled.checkers` -- interpreted Python over the IR's flat
 rows, ~470k per-(session, key) slot visits on the fig9 log -- and the online
 fold's clock-join runs the very same loop shape.  This module is the single
-home of those loops now: every consumer (batch checkers, shard workers via
-``sessions=``/``tid_range=`` restrictions, and the online fold's deferred
-probe flush) dispatches here.
+home of those loops now: every consumer (batch checkers and the online
+fold's deferred probe flush) dispatches here.
 
 Each kernel exists twice, selected exactly like :func:`repro.graph.csr.freeze_packed`:
 
@@ -184,14 +183,8 @@ def saturate_rc_compiled(
     ch: CompiledHistory,
     relation: CommitRelation,
     bad_ops: Set[int],
-    tid_range: Optional[Tuple[int, int]] = None,
 ) -> str:
     """Algorithm 1's main loop on the IR (mirror of ``saturate_rc``).
-
-    ``tid_range`` restricts saturation to the reads of transactions
-    ``[lo, hi)``; the per-transaction state (``earliest``, ``read_keys``) is
-    local, so chunked runs emit exactly the edges of a full run, in the same
-    per-transaction order.
 
     Returns the kernel implementation that ran (``"vectorized"`` /
     ``"fallback"``).  The vectorized side batches the read classification
@@ -205,19 +198,18 @@ def saturate_rc_compiled(
     # (packed edge + key id); dedup and labels happen at freeze.
     co_append = relation._co_log.append
     cok_append = relation._co_keys.append
-    lo_tid, hi_tid = tid_range if tid_range is not None else (0, ch.num_transactions)
+    num_txns = ch.num_transactions
     gathered = None
-    span = ch._xr_start[hi_tid] - ch._xr_start[lo_tid]
-    if _np is not None and span >= _MIN_VECTOR_READS:
-        gathered = _gather_good_reads(ch, bad_ops, _np.arange(lo_tid, hi_tid))
-    for tid in range(lo_tid, hi_tid):
+    if _np is not None and ch._xr_start[num_txns] >= _MIN_VECTOR_READS:
+        gathered = _gather_good_reads(ch, bad_ops, _np.arange(num_txns))
+    for tid in range(num_txns):
         if not committed[tid]:
             continue
         if gathered is None:
             reads = _external_good_reads(ch, tid, bad_ops)
         else:
             g_starts, g_po, g_key, g_writer = gathered
-            a, b = g_starts[tid - lo_tid], g_starts[tid - lo_tid + 1]
+            a, b = g_starts[tid], g_starts[tid + 1]
             reads = list(zip(g_po[a:b], g_key[a:b], g_writer[a:b]))
         if not reads:
             continue
@@ -266,14 +258,11 @@ def saturate_ra_compiled(
     ch: CompiledHistory,
     relation: CommitRelation,
     bad_ops: Set[int],
-    sessions: Optional[Sequence[int]] = None,
 ) -> str:
     """Algorithm 2's saturation on the IR (mirror of ``saturate_ra``).
 
-    ``sessions`` restricts the pass to the given dense session indices; the
-    RA frontier (``last_write``) resets per session, so a session-restricted
-    run emits exactly that session's edges of a full run, in order.  Returns
-    the kernel implementation that ran, as in :func:`saturate_rc_compiled`.
+    Returns the kernel implementation that ran, as in
+    :func:`saturate_rc_compiled`.
     """
     committed = ch.txn_committed
     kw_start = ch._kw_start
@@ -281,15 +270,12 @@ def saturate_ra_compiled(
     # Raw co-log appends, as in saturate_rc_compiled.
     co_append = relation._co_log.append
     cok_append = relation._co_keys.append
-    session_lists = (
-        ch.sessions if sessions is None else [ch.sessions[sid] for sid in sessions]
-    )
-    all_t3 = [t3 for session in session_lists for t3 in session]
+    all_t3 = [t3 for session in ch.sessions for t3 in session]
     gathered = None
     if _np is not None and _xr_span(ch, all_t3) >= _MIN_VECTOR_READS:
         gathered = _gather_good_reads(ch, bad_ops, all_t3)
     position = 0
-    for session in session_lists:
+    for session in ch.sessions:
         last_write: Dict[int, int] = {}
         for t3 in session:
             p = position
@@ -506,9 +492,8 @@ def _saturate_cc_vectorized(
     relation: CommitRelation,
     hb,
     bad_ops: Set[int],
-    session_lists: Sequence[Sequence[int]],
 ) -> None:
-    """All CC edge attempts of ``session_lists`` in five batched passes.
+    """All CC edge attempts of ``ch`` in five batched passes.
 
     Emission order matches the fallback exactly: transactions expand in
     session-major order, each transaction's surviving reads in program
@@ -520,7 +505,7 @@ def _saturate_cc_vectorized(
     committed = ch.txn_committed
     t3s: List[int] = []
     rows: List[List[int]] = []
-    for session in session_lists:
+    for session in ch.sessions:
         for t3 in session:
             if not committed[t3]:
                 continue
@@ -597,9 +582,6 @@ def saturate_cc_compiled(
     relation: CommitRelation,
     hb,
     bad_ops: Set[int],
-    sessions: Optional[Sequence[int]] = None,
-    writers_by_key: Optional[Tuple[List, int]] = None,
-    scratch: Optional[Tuple["array", "array", List[int]]] = None,
 ) -> str:
     """CC saturation on the IR (mirror of ``saturate_cc``).
 
@@ -615,20 +597,6 @@ def saturate_cc_compiled(
     fresh big int per pointer advance.  Only the slots a session actually
     touched are reset between sessions, so sessions with few reads stay
     cheap.
-
-    ``sessions`` restricts the pass to the given dense session indices (the
-    pointer state resets per session, so restricted runs compose like
-    :func:`saturate_ra_compiled`); ``hb`` only needs to support ``hb[tid]``
-    for the restricted transactions (a dict of clocks works for shard
-    workers).  ``writers_by_key`` injects a precomputed
-    :func:`_writers_by_key_compiled` result -- it depends only on the IR, so
-    shard workers compute it once per process and reuse it across tasks.
-    ``scratch`` injects the ``(ptrs, t2s, touched)`` pointer state to reuse
-    across calls: the arrays must be sized ``num_buckets`` and pristine
-    (zeros / -1 / empty); the function leaves them pristine again on return
-    -- the vectorized kernel simply never touches them -- so shard workers
-    making one call per session allocate them once instead of re-zeroing
-    ``O(num_buckets)`` memory per session.
     """
     if ch.num_transactions > (1 << 31):
         # The t2 scratch row stores writers pre-shifted by EDGE_SHIFT in a
@@ -639,23 +607,18 @@ def saturate_cc_compiled(
             "CC saturation's pre-shifted writer rows support at most "
             f"2^31 transactions; got {ch.num_transactions}"
         )
-    session_lists = (
-        ch.sessions if sessions is None else [ch.sessions[sid] for sid in sessions]
-    )
     if (
         _np is not None
         and isinstance(relation._co_keys, array)
-        and _xr_span(ch, (t3 for session in session_lists for t3 in session))
+        and _xr_span(ch, (t3 for session in ch.sessions for t3 in session))
         >= _MIN_VECTOR_READS
     ):
         idx = _cc_index(ch)
         if idx is not None:
-            _saturate_cc_vectorized(ch, idx, relation, hb, bad_ops, session_lists)
+            _saturate_cc_vectorized(ch, idx, relation, hb, bad_ops)
             return "vectorized"
 
-    if writers_by_key is None:
-        writers_by_key = _writers_by_key_compiled(ch)
-    writers_index, num_buckets = writers_by_key
+    writers_index, num_buckets = _writers_by_key_compiled(ch)
     committed = ch.txn_committed
     xr_start = ch._xr_start
     xr_po = ch._xr_po
@@ -673,14 +636,11 @@ def saturate_cc_compiled(
     co_append = relation._co_log.append
     cok_append = relation._co_keys.append
     check_bad = bool(bad_ops)
-    if scratch is None:
-        ptrs = array("q", bytes(8 * num_buckets))
-        t2s = array("q", [-1]) * num_buckets
-        touched: List[int] = []
-    else:
-        ptrs, t2s, touched = scratch
+    ptrs = array("q", bytes(8 * num_buckets))
+    t2s = array("q", [-1]) * num_buckets
+    touched: List[int] = []
 
-    for session in session_lists:
+    for session in ch.sessions:
         for t3 in session:
             if not committed[t3]:
                 continue
@@ -2077,7 +2037,7 @@ class WriterProbeIndex:
         return has_m, t2
 
 
-# -- batch unique-writes resolution (IR build / byte-range shard workers) ------
+# -- batch unique-writes resolution (IR build) ---------------------------------
 
 
 def resolve_unique_writes(op_kind, op_key, op_value):
@@ -2086,8 +2046,8 @@ def resolve_unique_writes(op_kind, op_key, op_value):
     The batch twin of :func:`resolve_reads`: given the IR builder's packed
     op columns, return the ``op_wr`` array mapping each read to the global
     op index of the last write of its ``(key, value)`` identity (``-1`` =
-    thin air).  The byte-range shard workers' builders call this once per
-    merged history at finalize.  Vectorized and fallback are bit-identical.
+    thin air).  The IR builder calls this once per history at finalize.
+    Vectorized and fallback are bit-identical.
     """
     n = len(op_key)
     if _np is not None and n >= _MIN_VECTOR_READS:

@@ -35,11 +35,6 @@ __all__ = ["dumps", "loads", "stream", "stream_batches", "stream_ops"]
 #: ``max(session) + 1``).
 COMPILED_SESSION_GAPS = True
 
-#: Record boundaries are lines whose ``(session, txn_index)`` ident differs
-#: from the previous line's, so byte-range splitting must align cuts to
-#: ident changes (:mod:`repro.shard.split`).
-BYTE_RANGE_RECORDS = "cobra"
-
 _HEADER = ["session", "txn_index", "op", "key", "value", "committed"]
 
 
@@ -73,8 +68,6 @@ def _parse_row(line_number: int, row: List[str]) -> Tuple[int, int, bool, str, o
 def stream_batches(
     handle: Iterable[str],
     batch_ops: Optional[int] = None,
-    allow_empty: bool = False,
-    spans_out: Optional[Dict[int, Tuple[int, int]]] = None,
 ) -> Iterator[RecordBatch]:
     """Iterate :class:`RecordBatch` columns of up to ``batch_ops`` operations.
 
@@ -86,11 +79,6 @@ def stream_batches(
     index is rejected as a duplicate transaction id.  A transaction lands in
     a batch only once its last row is seen, so memory stays bounded by one
     batch plus one open transaction plus one index per session.
-
-    ``allow_empty`` and ``spans_out`` exist for the byte-range splitter
-    (:mod:`repro.shard.split`): a mid-file region may hold no records, and
-    ``spans_out`` receives each session's ``(first, last)`` txn indices so
-    the contiguity check can chain *across* regions at merge time.
     """
     if batch_ops is None:
         batch_ops = DEFAULT_BATCH_OPS
@@ -133,11 +121,6 @@ def stream_batches(
                     f"line {line_number}: negative txn index {txn_index}"
                 )
             last_index[sid] = txn_index
-            if spans_out is not None:
-                span = spans_out.get(sid)
-                spans_out[sid] = (
-                    (txn_index, txn_index) if span is None else (span[0], txn_index)
-                )
             current = ident
             current_line = line_number
             ops = []
@@ -148,29 +131,19 @@ def stream_batches(
             )
         ops.append((is_write, key, value))
     if current is None:
-        if len(batch.txn_end):  # pragma: no cover - current is None only at 0 records
-            yield batch
-        if allow_empty:
-            return
         raise ParseError("empty cobra-style history")
     batch.add_record(current[0], None, committed, ops, line=current_line)
     yield batch
 
 
-def stream_ops(
-    handle: Iterable[str],
-    allow_empty: bool = False,
-    spans_out: Optional[Dict[int, Tuple[int, int]]] = None,
-) -> Iterator[Tuple[int, RawTransaction]]:
+def stream_ops(handle: Iterable[str]) -> Iterator[Tuple[int, RawTransaction]]:
     """Iterate raw ``(session_id, (label, committed, ops))`` records.
 
     The per-record unbatching shim over :func:`stream_batches`;
     ``batch_ops=1`` keeps the legacy error timing exactly (a closed
     transaction is yielded before the row after it can raise).
     """
-    for batch in stream_batches(
-        handle, batch_ops=1, allow_empty=allow_empty, spans_out=spans_out
-    ):
+    for batch in stream_batches(handle, batch_ops=1):
         for record in batch.iter_records():
             yield record
 

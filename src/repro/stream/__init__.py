@@ -13,8 +13,7 @@ Public surface:
   default streaming engine.
 * :func:`check_stream` -- one-shot wrapper over the object checker.
 * :func:`check_stream_file` -- the file-level entry point behind ``awdit
-  check --stream``: engine dispatch, byte-range parallel ingestion
-  (``jobs``), and checkpoint/resume.
+  check --stream``: engine dispatch and checkpoint/resume.
 * :func:`check_history_stream` -- stream an in-memory history through an
   online engine (the ``check(..., mode="stream")`` implementation).
 

@@ -1,17 +1,12 @@
-"""Streaming-mode dispatch: engines, parallel ingestion, checkpoints.
+"""Streaming-mode dispatch: engines and checkpoints.
 
 The batch side of the repo dispatches one *engine* axis
-(``object | compiled | sharded``); this module gives streaming (*mode*) the
-same orthogonal treatment:
+(``object | compiled``); this module gives streaming (*mode*) the same
+orthogonal treatment:
 
 * ``engine="compiled"`` (the default via ``"auto"``) checks with the
   :class:`~repro.core.compiled.online.CompiledIncrementalChecker` -- raw
   parser records in, no model objects on the hot path;
-* ``engine="sharded"`` / ``jobs=N`` additionally parallelizes *ingestion*:
-  the file is cut into record-aligned byte regions
-  (:mod:`repro.shard.split`) parsed by ``N`` forked workers, whose records
-  feed the sequential online core in file order -- the check itself stays
-  one-pass and byte-identical;
 * ``engine="object"`` keeps the original
   :class:`~repro.stream.incremental.IncrementalChecker` as the independent
   reference implementation for parity testing.
@@ -28,9 +23,7 @@ engines over an in-memory history (the parity harness behind
 from __future__ import annotations
 
 import gc
-import multiprocessing
 import time
-from collections import deque
 from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
 
 from repro.core.compiled.ir import CompiledHistory
@@ -60,9 +53,8 @@ __all__ = [
 ]
 
 #: Engines accepted by the streaming mode.  ``auto`` resolves to
-#: ``compiled``; ``sharded`` is ``compiled`` plus byte-range parallel
-#: ingestion (which only applies to on-disk histories).
-STREAM_ENGINES = ("auto", "compiled", "sharded", "object")
+#: ``compiled``.
+STREAM_ENGINES = ("auto", "compiled", "object")
 
 #: Default checkpoint cadence (transactions between saves).
 DEFAULT_CHECKPOINT_EVERY = 10_000
@@ -105,83 +97,29 @@ def history_records(
             yield sid, (txn.label, txn.committed, ops)
 
 
-def _parse_range_batches_task(args):
-    from repro.shard.split import parse_byte_range_batches
-
-    path, lo, hi, fmt, batch_ops = args
-    return parse_byte_range_batches(path, lo, hi, fmt=fmt, batch_ops=batch_ops)
-
-
 def iter_raw_batches(
     path: str,
     fmt: Optional[str] = None,
-    jobs: Optional[int] = None,
     batch_ops: Optional[int] = None,
 ) -> Iterator[RecordBatch]:
-    """Record batches of ``path`` in file order, optionally parsed in parallel.
-
-    With ``jobs`` > 1, a splittable format, and usable ``fork`` parallelism,
-    the file is cut into record-aligned byte regions parsed by a worker
-    pool; batches still come back in exact file order (regions are ordered
-    and each preserves its slice's order), so consumers cannot tell the
-    difference -- and the pool ships compact flat columns instead of
-    per-record tuples.  Everything else falls back to the sequential
-    streaming parse.  Parallel parsing buffers a few regions in flight,
-    trading the strictly-bounded parser memory of the sequential path for
-    parse throughput.
-    """
+    """Record batches of ``path`` in file order (the streaming parse)."""
     from repro.histories.formats import stream_raw_batches
 
-    if jobs is not None and jobs > 1:
-        from repro.shard.parallel import will_parallelize
-        from repro.shard.split import split_byte_ranges, validate_range_summaries
-
-        ranges = (
-            split_byte_ranges(path, jobs * 4, fmt=fmt) if will_parallelize(jobs) else None
-        )
-        if ranges is not None and len(ranges) > 1:
-            context = multiprocessing.get_context("fork")
-            summaries = []
-            # Bounded submission window: workers may run at most a couple of
-            # regions ahead of the consumer, so a checker slower than the
-            # parsers cannot make parsed-but-unconsumed regions pile up and
-            # defeat the streaming memory bound.
-            with context.Pool(processes=jobs) as pool:
-                tasks = deque()
-                pending = deque()
-                for lo, hi in ranges:
-                    tasks.append((path, lo, hi, fmt, batch_ops))
-                window = jobs + 2
-                while tasks or pending:
-                    while tasks and len(pending) < window:
-                        pending.append(
-                            pool.apply_async(
-                                _parse_range_batches_task, (tasks.popleft(),)
-                            )
-                        )
-                    batches, summary = pending.popleft().get()
-                    summaries.append(summary)
-                    for batch in batches:
-                        yield batch
-            validate_range_summaries(path, summaries, fmt=fmt)
-            return
-    for batch in stream_raw_batches(path, fmt, batch_ops=batch_ops):
-        yield batch
+    return stream_raw_batches(path, fmt, batch_ops=batch_ops)
 
 
 def iter_raw_records(
     path: str,
     fmt: Optional[str] = None,
-    jobs: Optional[int] = None,
     batch_ops: Optional[int] = None,
 ) -> Iterator[_RawRecord]:
-    """Raw records of ``path`` in file order, optionally parsed in parallel.
+    """Raw records of ``path`` in file order.
 
-    The record-at-a-time wrapper over :func:`iter_raw_batches` (same
-    ordering guarantees); consumers that can fold whole batches should use
-    :func:`iter_raw_batches` directly.
+    The record-at-a-time wrapper over :func:`iter_raw_batches`; consumers
+    that can fold whole batches should use :func:`iter_raw_batches`
+    directly.
     """
-    for batch in iter_raw_batches(path, fmt=fmt, jobs=jobs, batch_ops=batch_ops):
+    for batch in iter_raw_batches(path, fmt=fmt, batch_ops=batch_ops):
         for record in batch.iter_records():
             yield record
 
@@ -191,22 +129,11 @@ def _gc_collections() -> int:
     return sum(entry["collections"] for entry in gc.get_stats())
 
 
-def _resolve_stream_engine(engine: str, jobs: Optional[int]) -> str:
+def _resolve_stream_engine(engine: str) -> str:
     if engine not in STREAM_ENGINES:
         raise ValueError(
             f"unknown streaming engine {engine!r}; expected one of {STREAM_ENGINES}"
         )
-    if jobs is not None and jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if engine == "object":
-        if jobs is not None:
-            raise ValueError(
-                "jobs parallelizes streaming ingestion for the compiled online "
-                "core; the object streaming engine is single-process"
-            )
-        return "object"
-    if engine == "auto" and jobs is not None:
-        return "sharded"
     return "compiled" if engine == "auto" else engine
 
 
@@ -214,20 +141,16 @@ def check_history_stream(
     history: Union[History, CompiledHistory],
     level: IsolationLevel = IsolationLevel.CAUSAL_CONSISTENCY,
     engine: str = "auto",
-    jobs: Optional[int] = None,
     max_witnesses: Optional[int] = None,
     retire: Optional[RetirementPolicy] = None,
 ) -> CheckResult:
     """Stream an in-memory history through the chosen online engine.
 
     This is ``check(history, level, mode="stream")``: the history's
-    transactions are replayed in file order into the online checker.  With
-    ``engine="sharded"`` the parallel-ingestion axis has nothing to
-    parallelize for an in-memory history, so it runs the same compiled
-    online core (``jobs`` is accepted for interface symmetry).  ``retire``
-    enables watermark-based retirement on either engine.
+    transactions are replayed in file order into the online checker.
+    ``retire`` enables watermark-based retirement on either engine.
     """
-    resolved = _resolve_stream_engine(engine, jobs)
+    resolved = _resolve_stream_engine(engine)
     if resolved == "object":
         if isinstance(history, CompiledHistory):
             raise ValueError("a CompiledHistory requires a compiled-IR engine")
@@ -253,7 +176,6 @@ def check_history_stream(
 def check_all_levels_history_stream(
     history: Union[History, CompiledHistory],
     engine: str = "auto",
-    jobs: Optional[int] = None,
     max_witnesses: Optional[int] = None,
     retire: Optional[RetirementPolicy] = None,
 ) -> dict:
@@ -264,7 +186,7 @@ def check_all_levels_history_stream(
     RC, RA, and CC state simultaneously and one finalize emits all three
     results.
     """
-    resolved = _resolve_stream_engine(engine, jobs)
+    resolved = _resolve_stream_engine(engine)
     if resolved == "object":
         if isinstance(history, CompiledHistory):
             raise ValueError("a CompiledHistory requires a compiled-IR engine")
@@ -289,7 +211,6 @@ def check_stream_file(
     level: IsolationLevel = IsolationLevel.CAUSAL_CONSISTENCY,
     fmt: Optional[str] = None,
     engine: str = "auto",
-    jobs: Optional[int] = None,
     max_witnesses: Optional[int] = None,
     checkpoint: Optional[str] = None,
     checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
@@ -302,16 +223,13 @@ def check_stream_file(
     """One-pass check of an on-disk history (``awdit check --stream``).
 
     Every engine folds the parsers' record batches (``batch_ops`` operations
-    per batch; the verdict is identical for any value).  ``jobs``
-    parallelizes the parse via byte-range workers (compiled engines only);
-    ``checkpoint`` periodically serializes the online state -- at the first
+    per batch; the verdict is identical for any value).  ``checkpoint`` periodically serializes the online state -- at the first
     batch boundary past every ``checkpoint_every`` transactions, and once
     more before finalizing -- so ``resume=True`` can continue an
     interrupted check, including after completion, when resuming simply
     skips every record and re-finalizes.  ``retire`` bounds resident memory
     via watermark-based retirement; on resume it enables (or re-tunes)
-    retirement on the restored checker, including v4 checkpoints that
-    predate the protocol.  ``timings`` (``--profile``) receives ``parse`` /
+    retirement on the restored checker.  ``timings`` (``--profile``) receives ``parse`` /
     ``fold`` wall seconds, the fold's ``fold_intern`` / ``fold_dispatch`` /
     ``fold_classify`` / ``fold_clock_join`` sub-laps, and per-phase
     ``gc.get_stats()`` collection deltas (``parse_gc_collections`` /
@@ -322,7 +240,7 @@ def check_stream_file(
     """
     if batch_ops is not None and batch_ops < 1:
         raise ValueError(f"batch_ops must be >= 1, got {batch_ops}")
-    resolved = _resolve_stream_engine(engine, jobs)
+    resolved = _resolve_stream_engine(engine)
     if resolved == "object":
         if checkpoint is not None or resume:
             raise ValueError(
@@ -369,7 +287,7 @@ def check_stream_file(
     gc_was_enabled = gc.isenabled()
     gc_thresholds = None
     try:
-        batches = iter_raw_batches(path, fmt=fmt, jobs=jobs, batch_ops=batch_ops)
+        batches = iter_raw_batches(path, fmt=fmt, batch_ops=batch_ops)
         while True:
             if profile:
                 gc_mark = _gc_collections()

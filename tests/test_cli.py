@@ -52,7 +52,7 @@ class TestCheckCommand:
         save_history(fig_4d(), str(path))
         assert main(["check", str(path), "-i", "read atomic"]) == 0
 
-    @pytest.mark.parametrize("engine", ["auto", "compiled", "sharded", "object"])
+    @pytest.mark.parametrize("engine", ["auto", "compiled", "object"])
     def test_engines_agree_on_verdict_and_witnesses(self, tmp_path, capsys, engine):
         path = tmp_path / "bad.json"
         save_history(fig_4a(), str(path))
@@ -60,23 +60,14 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert "VIOLATION" in out and "cycle" in out
 
-    @pytest.mark.parametrize("jobs", ["1", "2", "4"])
-    def test_jobs_flag_checks_sharded(self, tmp_path, capsys, jobs):
-        path = tmp_path / "bad.json"
-        save_history(fig_4a(), str(path))
-        assert main(["check", str(path), "-i", "rc", "--jobs", jobs]) == 1
-        out = capsys.readouterr().out
-        assert "VIOLATION" in out and "cycle" in out
-
 
 class TestCheckFlagConflicts:
     """Incoherent flag combinations exit 2 instead of silently falling back.
 
-    Engine and mode are orthogonal (``--stream --engine compiled`` and
-    ``--stream --jobs N`` are the compiled streaming paths); what stays
-    rejected is baseline checkers with awdit-engine flags, ``--jobs`` on the
-    single-process engines, and checkpointing outside the compiled
-    streaming path.
+    Engine and mode are orthogonal (``--stream --engine compiled`` is the
+    compiled streaming path); what stays rejected is baseline checkers with
+    awdit-engine flags, checkpointing outside the compiled streaming path,
+    and out-of-range sizes.
     """
 
     @pytest.fixture()
@@ -90,12 +81,7 @@ class TestCheckFlagConflicts:
         [
             ["--checker", "plume", "--engine", "compiled"],
             ["--checker", "plume", "--engine", "object"],
-            ["--checker", "plume", "--jobs", "2"],
             ["--checker", "plume", "--stream"],
-            ["--engine", "object", "--jobs", "2"],
-            ["--engine", "compiled", "--jobs", "2"],
-            ["--jobs", "0"],
-            ["--stream", "--engine", "object", "--jobs", "2"],
             ["--stream", "--engine", "object", "--checkpoint", "state.awd"],
             ["--stream", "--checkpoint", "state.awd", "--checkpoint-every", "0"],
             ["--stream", "--checkpoint-every", "100"],
@@ -110,6 +96,9 @@ class TestCheckFlagConflicts:
             ["--stream", "--retire", "--retire-every", "0"],
             ["--stream", "--retire", "--checkpoint", "state.awd"],
             ["--stream", "--retire", "--checker", "plume"],
+            ["-w", "-1"],
+            ["--stream", "--witnesses", "-1"],
+            ["-i", "serializable-ish"],
         ],
         ids=lambda flags: " ".join(flags),
     )
@@ -124,9 +113,6 @@ class TestCheckFlagConflicts:
             ["--stream"],
             ["--stream", "--engine", "compiled"],
             ["--stream", "--engine", "object"],
-            ["--stream", "--engine", "sharded"],
-            ["--stream", "--jobs", "2"],
-            ["--stream", "--engine", "sharded", "--jobs", "2"],
             ["--stream", "--retire"],
             ["--stream", "--retire", "--retire-lag", "0", "--retire-every", "1"],
             ["--stream", "--engine", "object", "--retire"],
@@ -260,6 +246,24 @@ class TestGenerateCommand:
         assert json.loads(out.read_text())["sessions"]
 
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--sessions", "0"],
+            ["--transactions", "-1"],
+            ["--workload", "nope"],
+            ["--database", "nope"],
+        ],
+        ids=lambda flags: " ".join(flags),
+    )
+    def test_bad_generator_arguments_exit_two(self, tmp_path, capsys, flags):
+        out = tmp_path / "h.json"
+        assert main(["generate", str(out), "--transactions", "5"] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("awdit: error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestConvertAndStats:
     def test_convert_between_formats(self, tmp_path, capsys):
         src = tmp_path / "h.json"
@@ -288,23 +292,6 @@ class TestConvertAndStats:
         assert "interned sessions      : 2" in output
         assert "compiled footprint" in output and "KiB" in output
 
-    def test_stats_jobs_reports_shard_merge_cardinalities(self, tmp_path, capsys):
-        path = tmp_path / "h.json"
-        save_history(fig_4a(), str(path))
-        assert main(["stats", str(path), "--jobs", "2"]) == 0
-        output = capsys.readouterr().out
-        assert "shard merge (2 shards):" in output
-        assert "shard 0:" in output and "shard 1:" in output
-        assert "merged : keys=1 values=2 sessions=2" in output
-        # The single-shard summary lines are unchanged.
-        assert "distinct keys          : 1" in output
-
-    def test_stats_invalid_jobs_exits_two(self, tmp_path, capsys):
-        path = tmp_path / "h.json"
-        save_history(fig_4a(), str(path))
-        assert main(["stats", str(path), "--jobs", "0"]) == 2
-        assert "awdit: error:" in capsys.readouterr().err
-
     def test_stats_stream_reports_live_state_peaks(self, tmp_path, capsys):
         path = tmp_path / "h.json"
         save_history(fig_4a(), str(path))
@@ -315,8 +302,80 @@ class TestConvertAndStats:
         assert "interned keys          : 1" in output
         assert "writes index entries   : 2" in output
 
-    def test_stats_stream_conflicts_with_jobs(self, tmp_path, capsys):
+
+class TestRemovedShardedEngine:
+    """``--jobs`` and ``--engine sharded`` are gone; argparse rejects them."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--jobs", "2"],
+            ["check", "--jobs", "0"],
+            ["check", "--engine", "sharded"],
+            ["check", "--engine", "object", "--jobs", "2"],
+            ["check", "--engine", "compiled", "--jobs", "2"],
+            ["check", "--checker", "plume", "--jobs", "2"],
+            ["check", "--stream", "--jobs", "2"],
+            ["check", "--stream", "--engine", "sharded"],
+            ["check", "--stream", "--engine", "object", "--jobs", "2"],
+            ["stats", "--jobs", "0"],
+            ["stats", "--stream", "--jobs", "2"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_removed_option_exits_two(self, tmp_path, capsys, argv):
         path = tmp_path / "h.json"
-        save_history(fig_4a(), str(path))
-        assert main(["stats", str(path), "--stream", "--jobs", "2"]) == 2
-        assert "awdit: error:" in capsys.readouterr().err
+        save_history(fig_4d(), str(path))
+        with pytest.raises(SystemExit) as excinfo:
+            main([argv[0], str(path)] + argv[1:])
+        assert excinfo.value.code == 2
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert (
+            "unrecognized arguments: --jobs" in message
+            or "invalid choice: 'sharded'" in message
+        )
+
+
+class TestPathErrors:
+    """A missing or unreadable path is a one-line usage error (exit 2).
+
+    Exit 1 means VIOLATION, so an ``OSError`` must never surface as a
+    traceback with that status.
+    """
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "{missing}"],
+            ["check", "{missing}", "--stream"],
+            ["check", "{missing}", "--stream", "--engine", "object"],
+            ["check", "{missing}", "--checker", "plume"],
+            ["check", "{directory}"],
+            ["check", "{directory}", "--stream"],
+            ["stats", "{missing}"],
+            ["stats", "{missing}", "--stream"],
+            ["convert", "{missing}", "{tmp}/out.plume"],
+            ["convert", "{history}", "{tmp}/no/such/out.plume"],
+            ["generate", "{tmp}/no/such/x.json", "--transactions", "5"],
+            ["check", "{history}", "--stream", "--checkpoint", "{tmp}/no/such/c.bin"],
+            ["check", "{history}", "--stream", "--resume", "--checkpoint", "{tmp}/c.bin"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_path_error_exits_two_with_one_line(self, tmp_path, capsys, argv):
+        history = tmp_path / "h.plume"
+        save_history(fig_4d(), str(history), fmt="plume")
+        directory = tmp_path / "dir.plume"
+        directory.mkdir()
+        names = {
+            "missing": str(tmp_path / "nope.plume"),
+            "directory": str(directory),
+            "history": str(history),
+            "tmp": str(tmp_path),
+        }
+        assert main([arg.format(**names) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("awdit: error: "), captured.err
+        assert str(tmp_path) in lines[0]
+        assert "VIOLATION" not in captured.out

@@ -1,6 +1,6 @@
 """The engine × mode parity matrix.
 
-Every cell of ``{object, compiled, sharded} × {batch, stream}`` must
+Every cell of ``{object, compiled} × {batch, stream}`` must
 produce byte-identical verdicts, violation messages, and inferred-edge
 counts -- including on aborted, weak-isolation, and anomaly-injected
 histories, and across a checkpoint/resume split of the stream.  The object
@@ -19,11 +19,10 @@ from repro.histories.generator import (
     generate_random_history,
     inject_anomaly,
 )
-from repro.shard import check_sharded
 from repro.stream import CompiledIncrementalChecker, check_stream_file, load_checkpoint
 
 LEVELS = list(IsolationLevel)
-ENGINES = ("object", "compiled", "sharded")
+ENGINES = ("object", "compiled")
 MODES = ("batch", "stream")
 
 
@@ -69,11 +68,6 @@ class TestEngineModeMatrix:
                 for mode in MODES:
                     result = check(history, level, engine=engine, mode=mode)
                     _assert_same(reference, result, (engine, mode, level))
-            # The forked/inline shard pipeline itself (scratch relations,
-            # ordered merge) -- check() on one CPU would fall back to the
-            # sequential loops, so pin the tasked pipeline explicitly.
-            result = check_sharded(history, level, jobs=2, mode="inline")
-            _assert_same(reference, result, ("sharded-inline", level))
 
     @pytest.mark.parametrize("kind", INJECTABLE_ANOMALIES, ids=lambda k: k.name)
     def test_all_levels_matrix_per_anomaly(self, kind):
@@ -99,7 +93,7 @@ class TestEngineModeMatrix:
 
 
 class TestStreamFileCells:
-    """The on-disk streaming cells: --stream --engine E and --stream --jobs N."""
+    """The on-disk streaming cells: --stream --engine E."""
 
     @pytest.fixture()
     def anomalous(self, tmp_path):
@@ -118,20 +112,13 @@ class TestStreamFileCells:
         save_history(history, str(path), fmt="plume")
         return history, str(path)
 
-    @pytest.mark.parametrize("engine", ["auto", "compiled", "sharded", "object"])
+    @pytest.mark.parametrize("engine", ["auto", "compiled", "object"])
     def test_file_stream_engines_agree(self, anomalous, engine):
         history, path = anomalous
         for level in LEVELS:
             reference = check(history, level, engine="object")
             result = check_stream_file(path, level, fmt="plume", engine=engine)
             _assert_same(reference, result, (engine, level))
-
-    def test_file_stream_with_jobs_agrees(self, anomalous):
-        history, path = anomalous
-        level = IsolationLevel.CAUSAL_CONSISTENCY
-        reference = check(history, level, engine="object")
-        result = check_stream_file(path, level, fmt="plume", jobs=2)
-        _assert_same(reference, result, ("jobs", level))
 
     def test_checkpoint_resume_equals_uninterrupted_run(self, anomalous, tmp_path):
         history, path = anomalous
@@ -204,12 +191,15 @@ class TestDispatchErrors:
         with pytest.raises(ValueError):
             check(compile_history(history), mode="stream", engine="object")
 
-    def test_object_stream_rejects_jobs(self):
+    @pytest.mark.parametrize("mode", ["batch", "stream"])
+    def test_unknown_engine_rejected(self, mode):
         history = generate_random_history(
             RandomHistoryConfig(num_sessions=2, num_transactions=5, seed=1)
         )
         with pytest.raises(ValueError):
-            check(history, mode="stream", engine="object", jobs=2)
+            check(history, mode=mode, engine="sharded")
+        with pytest.raises(ValueError):
+            check_all_levels(history, mode=mode, engine="sharded")
 
     def test_compiled_history_streams_identically(self):
         from repro.core.compiled import compile_history

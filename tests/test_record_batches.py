@@ -4,8 +4,8 @@
 ``stream_ops`` a per-record unbatching shim over it, so the two must
 agree record-for-record at any ``batch_ops`` -- including around error
 timing (a mid-batch ``ParseError`` still carries line and file context)
-and the byte-range splitter's refusal of cobra files with CSV quoting.
-On top of the parse layer, the full engine x jobs x batch_ops streaming
+and cobra values hiding newlines and commas behind CSV quoting.
+On top of the parse layer, the full engine x batch_ops streaming
 matrix over a saved file must stay byte-identical to the batch oracle
 (batch-boundary-straddling transactions included), resume must cut a
 straddling batch at the checkpointed transaction, and a duplicate
@@ -37,7 +37,6 @@ from repro.histories.generator import (
     generate_random_history,
     inject_anomaly,
 )
-from repro.shard.split import split_byte_ranges
 from repro.stream import (
     CompiledIncrementalChecker,
     check_stream_file,
@@ -167,7 +166,7 @@ class TestMidBatchParseErrors:
 
 
 class TestCobraQuotedValues:
-    """CSV quoting may hide newlines, so byte-range splitting refuses."""
+    """CSV quoting may hide newlines and commas inside cobra values."""
 
     def _quoted_history(self):
         return History.from_sessions(
@@ -177,37 +176,22 @@ class TestCobraQuotedValues:
             ]
         )
 
-    def test_split_refused_but_serial_batches_parse(self, tmp_path):
+    def test_quoted_file_checks_identically(self, tmp_path):
         path = tmp_path / "quoted.cobra"
-        save_history(self._quoted_history(), str(path), fmt="cobra")
+        history = self._quoted_history()
+        save_history(history, str(path), fmt="cobra")
         assert '"' in path.read_text(encoding="utf-8")
-        assert split_byte_ranges(str(path), 4, fmt="cobra") is None
-        # The parallel batch iterator falls back to the serial parse; the
-        # embedded newline and comma survive intact.
-        serial = [
+        records = [
             record
             for batch in stream_raw_batches(str(path), "cobra")
             for record in batch.iter_records()
         ]
-        parallel = [
-            record
-            for batch in iter_raw_batches(str(path), fmt="cobra", jobs=2)
-            for record in batch.iter_records()
-        ]
-        assert parallel == serial
-        ops = serial[0][1][2]
-        assert ("a\nb" in [value for _, _, value in ops]) and (
-            "c,d" in [value for _, _, value in ops]
-        )
-
-    def test_quoted_file_checks_identically_with_jobs(self, tmp_path):
-        path = tmp_path / "quoted.cobra"
-        history = self._quoted_history()
-        save_history(history, str(path), fmt="cobra")
+        values = [value for _, _, value in records[0][1][2]]
+        assert "a\nb" in values and "c,d" in values
         for level in LEVELS:
             reference = check(history, level, engine="object")
-            result = check_stream_file(path=str(path), level=level, fmt="cobra", jobs=2)
-            _assert_same(reference, result, ("quoted-jobs", level))
+            result = check_stream_file(path=str(path), level=level, fmt="cobra")
+            _assert_same(reference, result, ("quoted", level))
 
 
 class TestDuplicateWriteAfterFold:
@@ -264,7 +248,7 @@ class TestDuplicateWriteAfterFold:
 
 
 class TestBatchOpsMatrix:
-    """engine x jobs x batch_ops verdicts are byte-identical."""
+    """engine x batch_ops verdicts are byte-identical."""
 
     @pytest.fixture()
     def anomalous(self, tmp_path):
@@ -292,24 +276,12 @@ class TestBatchOpsMatrix:
         history, path = anomalous
         for level in LEVELS:
             reference = check(history, level, engine="object")
-            for engine, jobs_axis in (
-                ("object", (None,)),
-                ("compiled", (None, 2)),
-                ("sharded", (None, 2)),
-            ):
-                for jobs in jobs_axis:
-                    for batch_ops in BATCH_OPS:
-                        result = check_stream_file(
-                            path,
-                            level,
-                            fmt="plume",
-                            engine=engine,
-                            jobs=jobs,
-                            batch_ops=batch_ops,
-                        )
-                        _assert_same(
-                            reference, result, (engine, jobs, batch_ops, level)
-                        )
+            for engine in ("object", "compiled"):
+                for batch_ops in BATCH_OPS:
+                    result = check_stream_file(
+                        path, level, fmt="plume", engine=engine, batch_ops=batch_ops
+                    )
+                    _assert_same(reference, result, (engine, batch_ops, level))
 
     def test_resume_cuts_a_straddling_batch(self, anomalous, tmp_path):
         # Checkpoint 13 transactions in, then resume with one huge batch:

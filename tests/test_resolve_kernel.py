@@ -25,8 +25,7 @@ relies on:
 * retirement compaction invalidates the flat registry mid-stream and the
   next batch rebuilds it from the live dicts without changing a verdict;
 * checkpoints never serialize the registry, and a resumed checker
-  rebuilds it from the pickled dicts;
-* the shard workers' import surface re-exports the kernel.
+  rebuilds it from the pickled dicts.
 """
 
 import json
@@ -537,15 +536,3 @@ class TestCheckpointAcrossResolver:
             resumed = load_checkpoint(str(path))
             resumed.extend_raw(iter(records[cut:]), batch_ops=64)
             assert digest(resumed.finalize()) == want
-
-
-class TestShardImportSurface:
-    """Worker bootstrap imports the kernel at module scope."""
-
-    def test_parallel_reexports_resolver(self):
-        from repro.shard import parallel
-
-        assert parallel.resolve_reads is kernels.resolve_reads
-        assert parallel.WritesIndex is kernels.WritesIndex
-        assert parallel.ParkQueue is kernels.ParkQueue
-        assert parallel.join_clocks is kernels.join_clocks

@@ -7,9 +7,8 @@ bug injection), ``None`` values from uninitialized reads, label schemes --
 must survive ``compile_history`` and the file ingest paths with verdicts and
 witnesses identical to ``engine="object"``.
 
-This suite is the audit the sharded-checking PR performed over
-``repro.workloads`` and ``repro.db`` (no drift was found; these tests pin
-the result), plus targeted constructions for the corners the generators do
+This suite audits ``repro.workloads`` and ``repro.db`` (no drift was
+found; these tests pin the result), plus targeted constructions for the corners the generators do
 not currently hit (``None`` values interned next to aborted reads).
 """
 
@@ -22,7 +21,6 @@ from repro.core.model import History, Transaction, read, write
 from repro.db.config import BugRates, IsolationMode
 from repro.db.profiles import profile_by_name
 from repro.histories.formats import load_compiled, load_history, save_history
-from repro.shard import check_sharded, load_compiled_sharded
 from repro.workloads import collect_history, workload_by_name
 
 LEVELS = list(IsolationLevel)
@@ -31,16 +29,14 @@ FORMATS = [("native", ".json"), ("plume", ".plume"), ("dbcop", ".dbcop"), ("cobr
 
 
 def assert_no_engine_drift(history):
-    """Object, compiled, and sharded engines agree on everything visible."""
+    """Object and compiled engines agree on everything visible."""
     for level in LEVELS:
         obj = check(history, level, engine="object")
         comp = check(history, level, engine="compiled")
-        shard = check_sharded(history, level, jobs=2, mode="inline")
-        for result in (comp, shard):
-            assert result.is_consistent == obj.is_consistent, level
-            assert [v.describe() for v in result.violations] == [
-                v.describe() for v in obj.violations
-            ], level
+        assert comp.is_consistent == obj.is_consistent, level
+        assert [v.describe() for v in comp.violations] == [
+            v.describe() for v in obj.violations
+        ], level
 
 
 def buggy_profile(seed):
@@ -96,15 +92,13 @@ class TestWorkloadFileRoundTrip:
         save_history(history, str(path), fmt=fmt)
         loaded = load_history(str(path), fmt=fmt)
         compiled = load_compiled(str(path), fmt=fmt)
-        sharded = load_compiled_sharded(str(path), 2, fmt=fmt)
         for level in LEVELS:
             obj = check(loaded, level, engine="object")
-            for ch in (compiled, sharded):
-                result = check(ch, level)
-                assert result.is_consistent == obj.is_consistent, (fmt, level)
-                assert [v.describe() for v in result.violations] == [
-                    v.describe() for v in obj.violations
-                ], (fmt, level)
+            result = check(compiled, level)
+            assert result.is_consistent == obj.is_consistent, (fmt, level)
+            assert [v.describe() for v in result.violations] == [
+                v.describe() for v in obj.violations
+            ], (fmt, level)
 
 
 class TestInternTableCorners:
