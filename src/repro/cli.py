@@ -627,6 +627,7 @@ def _run_stats_stream(args: argparse.Namespace) -> int:
             "    peak resident after compaction : "
             f"{stats['post_compaction_peak_resident']} txn summaries"
         )
+        print(f"    time in retire passes : {stats['retire_seconds']:.3f} s")
     return 0
 
 

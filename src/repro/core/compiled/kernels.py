@@ -757,6 +757,252 @@ def compact_writer_registry(
     return new_bucket, new_sidx, new_tid
 
 
+def registry_garbage(wb_bucket: "array", wb_tid: "array", new_base: int) -> int:
+    """Rows :func:`compact_writer_registry` would drop at ``new_base``.
+
+    Every registry row of a retired writer (``tid < new_base``) goes except
+    the last one of its bucket, so the count is the retired rows minus the
+    distinct buckets among them.
+    """
+    if _np is not None:
+        old = _np.frombuffer(wb_tid, dtype=_np.int64) < new_base
+        retired = int(_np.count_nonzero(old))
+        if not retired:
+            return 0
+        buckets = _np.bincount(_np.frombuffer(wb_bucket, dtype=_np.int64)[old])
+        return retired - int(_np.count_nonzero(buckets))
+    buckets = [b for b, t in zip(wb_bucket, wb_tid) if t < new_base]
+    return len(buckets) - len(set(buckets))
+
+
+def gather_runs(owner, starts, lens):
+    """CSR gather: ``(owner per element, position per element)`` of the runs.
+
+    Run ``i`` covers positions ``starts[i] : starts[i] + lens[i]``; the
+    result lists every position in run order, tagged with ``owner[i]``.
+    """
+    np = _np
+    total = int(lens.sum())
+    cum = np.cumsum(lens) - lens
+    pos = (
+        np.arange(total, dtype=np.int64)
+        - np.repeat(cum, lens)
+        + np.repeat(starts, lens)
+    )
+    return np.repeat(owner, lens), pos
+
+
+def shift_column(column: "array", delta: int) -> "array":
+    """A fresh ``array('q')`` holding every entry of ``column`` plus ``delta``."""
+    if _np is None:
+        return array("q", [value + delta for value in column])
+    return _column("q", _np.frombuffer(column, dtype=_np.int64) + delta)
+
+
+def remap_pairs(mapping: Sequence[int], readers, writers) -> "array":
+    """Packed ``(mapping[writer] << EDGE_SHIFT) | mapping[reader]`` per pair."""
+    if _np is None or len(readers) < _MIN_VECTOR_READS:
+        return array(
+            "Q", [(mapping[w] << EDGE_SHIFT) | mapping[r] for r, w in zip(readers, writers)]
+        )
+    np = _np
+    remap = np.asarray(mapping, dtype=np.uint64)
+    src = remap[np.frombuffer(writers, dtype=np.int64)]
+    dst = remap[np.frombuffer(readers, dtype=np.int64)]
+    return _column("Q", (src << EDGE_SHIFT) | dst)
+
+
+def live_value_ids(wids: List[int], table_size: int):
+    """``(ordered, lut)``: the value ids ``wids`` use, and old -> new vid.
+
+    ``ordered`` lists the distinct value ids of the packed write ids in
+    ascending order; ``lut`` is an ``array('q')`` of ``table_size``
+    entries mapping each of them to its rank and every other id to ``-1``.
+    """
+    vmask = (1 << _VALUE_SHIFT) - 1
+    if _np is None or len(wids) < _MIN_VECTOR_READS:
+        ordered = sorted({wid & vmask for wid in wids})
+        lut = array("q", [-1]) * table_size
+        for new, old in enumerate(ordered):
+            lut[old] = new
+        return ordered, lut
+    np = _np
+    live = np.unique(np.array(wids, dtype=np.int64) & vmask)
+    lut = np.full(table_size, -1, dtype=np.int64)
+    lut[live] = np.arange(live.shape[0], dtype=np.int64)
+    return live.tolist(), _column("q", lut)
+
+
+def renumber_wids(wids: List[int], lut: "array") -> List[int]:
+    """Packed write ids with each value id replaced by ``lut[vid]``."""
+    vmask = (1 << _VALUE_SHIFT) - 1
+    if _np is None or len(wids) < _MIN_VECTOR_READS:
+        return [(wid & ~vmask) | lut[wid & vmask] for wid in wids]
+    np = _np
+    w = np.array(wids, dtype=np.int64)
+    return ((w & ~vmask) | np.frombuffer(lut, dtype=np.int64)[w & vmask]).tolist()
+
+
+def remap_wid_log(wids: "array", tids: "array", lut: "array"):
+    """Renumber the value ids of a ``(wid, tid)`` log through ``lut``.
+
+    ``lut[old vid]`` is the new vid, or ``-1`` for a value that is gone;
+    rows naming a gone value are dropped (no live write can match them).
+    Returns two fresh ``array('q')`` columns in the original row order.
+    """
+    vmask = (1 << _VALUE_SHIFT) - 1
+    if _np is None or len(wids) < _MIN_VECTOR_READS:
+        new_wids = array("q")
+        new_tids = array("q")
+        for wid, tid in zip(wids, tids):
+            vid = lut[wid & vmask]
+            if vid >= 0:
+                new_wids.append((wid & ~vmask) | vid)
+                new_tids.append(tid)
+        return new_wids, new_tids
+    np = _np
+    w = np.frombuffer(wids, dtype=np.int64)
+    vid = np.frombuffer(lut, dtype=np.int64)[w & vmask]
+    keep = vid >= 0
+    return (
+        _column("q", (w[keep] & ~vmask) | vid[keep]),
+        _column("q", np.frombuffer(tids, dtype=np.int64)[keep]),
+    )
+
+
+def _compact_runs_fallback(starts: "array", lens: "array", columns):
+    new_columns = [array(column.typecode) for column in columns]
+    new_starts = array("q", starts)
+    offset = 0
+    for j, s in enumerate(starts):
+        if s < 0:
+            continue
+        n = lens[j]
+        new_starts[j] = offset
+        for new, column in zip(new_columns, columns):
+            new.extend(column[s : s + n])
+        offset += n
+    return new_starts, new_columns
+
+
+def compact_runs(starts: "array", lens: "array", columns):
+    """Copy the runs rows still reference into fresh shared arrays.
+
+    The online fold keeps per-transaction ``(start, len)`` runs into shared
+    append-only value arrays (``columns``, all of one length).  Retirement
+    and slow-path resolution leave unreferenced entries behind; this copies
+    every run of a row with ``start >= 0`` to the front, in row order, and
+    returns ``(new_starts, new_columns)``.  Negative starts are sentinels
+    and stay as they are.  The vectorized and fallback paths are
+    bit-identical.
+    """
+    if _np is None or len(starts) < _MIN_VECTOR_READS:
+        return _compact_runs_fallback(starts, lens, columns)
+    np = _np
+    s = np.frombuffer(starts, dtype=np.int64)
+    live = s >= 0
+    n = np.where(live, np.frombuffer(lens, dtype=np.int64), 0)
+    _, pos = gather_runs(s, np.where(live, s, 0), n)
+    new_starts = _column("q", np.where(live, np.cumsum(n) - n, s))
+    new_columns = [
+        _column(column.typecode, np.frombuffer(column, dtype=_DTYPES[column.typecode])[pos])
+        for column in columns
+    ]
+    return new_starts, new_columns
+
+
+def _retired_wr_fallback(base, flags, wany, wgood, gr):
+    f_out = array("B")
+    any_cols = (array("q"), array("q"), array("q"))
+    good_cols = (array("q"), array("q"), array("q"))
+    a_start, a_len, a_writer, a_kid = wany
+    g_start, g_len, g_writer, g_kid = wgood
+    r_start, r_len, r_kid, r_writer = gr
+    for j in range(len(flags)):
+        committed = flags[j] & 1
+        gs = g_start[j] if committed else -1
+        f_out.append(committed | (2 if gs >= 0 else 0))
+        if not committed:
+            continue
+        tid = base + j
+        a = a_start[j]
+        if a == -2:
+            seen: Set[int] = set()
+            ga = r_start[j]
+            for g in range(ga, ga + r_len[j]):
+                w = r_writer[g]
+                if w not in seen:
+                    seen.add(w)
+                    any_cols[0].append(tid)
+                    any_cols[1].append(w)
+                    any_cols[2].append(r_kid[g])
+        elif a >= 0:
+            n = a_len[j]
+            any_cols[0].extend([tid] * n)
+            any_cols[1].extend(a_writer[a : a + n])
+            any_cols[2].extend(a_kid[a : a + n])
+        if gs >= 0:
+            n = g_len[j]
+            good_cols[0].extend([tid] * n)
+            good_cols[1].extend(g_writer[gs : gs + n])
+            good_cols[2].extend(g_kid[gs : gs + n])
+    return f_out, any_cols, good_cols
+
+
+def retired_wr_columns(base: int, flags, wany, wgood, gr):
+    """The retired prefix's first-read-per-writer maps as flat columns.
+
+    ``flags`` is the ``_t_flags`` prefix of the retiring rows (transaction
+    ``base + j`` is row ``j``); ``wany``/``wgood`` are the fold's
+    ``(start, len, writer, kid)`` wr-run columns and ``gr`` its
+    ``(start, len, kid, writer)`` good-read runs (the per-row columns cut
+    to the prefix).  Returns ``(flags, any, good)``: per-row segment flags
+    (bit 0 committed, bit 1 "the good map is stored on its own") and two
+    ``(reader, writer, kid)`` column triples in reader order, each reader's
+    pairs in map (first-read) order.  Rows with the ``-2`` derive sentinel
+    take their map from the good-read run: the first pair per distinct
+    writer, found by one ``unique`` over ``reader << 32 | writer``.  The
+    vectorized and fallback paths are bit-identical.
+    """
+    if _np is None or len(flags) < _MIN_VECTOR_READS:
+        return _retired_wr_fallback(base, flags, wany, wgood, gr)
+    np = _np
+    count = len(flags)
+
+    def prefix(column):
+        return np.frombuffer(column, dtype=np.int64)[:count]
+
+    committed = np.frombuffer(flags, dtype=np.uint8)[:count] & 1
+    a_start = prefix(wany[0])
+    g_start = np.where(committed == 1, prefix(wgood[0]), -1)
+    f_out = committed | ((g_start >= 0) << 1).astype(np.uint8)
+    tids = np.arange(base, base + count, dtype=np.int64)
+
+    derive = np.flatnonzero((committed == 1) & (a_start == -2))
+    d_reader, pos = gather_runs(tids[derive], prefix(gr[0])[derive], prefix(gr[1])[derive])
+    d_kid = np.frombuffer(gr[2], dtype=np.int64)[pos]
+    d_writer = np.frombuffer(gr[3], dtype=np.int64)[pos]
+    first = np.unique((d_reader << EDGE_SHIFT) | d_writer, return_index=True)[1]
+    first.sort()
+    explicit = np.flatnonzero((committed == 1) & (a_start >= 0))
+    e_reader, pos = gather_runs(tids[explicit], a_start[explicit], prefix(wany[1])[explicit])
+    reader = np.concatenate((d_reader[first], e_reader))
+    order = np.argsort(reader, kind="stable")
+    any_cols = (
+        reader[order],
+        np.concatenate((d_writer[first], np.frombuffer(wany[2], dtype=np.int64)[pos]))[order],
+        np.concatenate((d_kid[first], np.frombuffer(wany[3], dtype=np.int64)[pos]))[order],
+    )
+    good = np.flatnonzero(g_start >= 0)
+    g_reader, pos = gather_runs(tids[good], g_start[good], prefix(wgood[1])[good])
+    good_cols = (
+        g_reader,
+        np.frombuffer(wgood[2], dtype=np.int64)[pos],
+        np.frombuffer(wgood[3], dtype=np.int64)[pos],
+    )
+    return f_out, any_cols, good_cols
+
+
 # -- online columnar fold state (clock join + park queue) ----------------------
 
 #: Below this many joined cells (writer rows x clock stride) the numpy view
@@ -883,6 +1129,10 @@ class ParkQueue:
 
 
 # -- the streaming folds' inferred-edge log ------------------------------------
+
+
+#: numpy dtype of each ``array`` typecode the fold's columns use.
+_DTYPES = {"q": "i8", "Q": "u8", "B": "u1"}
 
 
 def _column(typecode: str, values) -> "array":
@@ -1222,9 +1472,10 @@ class WritesIndex:
     re-sort per batch.
 
     The mirror is derived state: it is never pickled (checkpoints carry the
-    dict; ``__setstate__`` starts a fresh dirty mirror), and retirement
-    compaction / value-id remapping simply :meth:`invalidate` it -- the next
-    vectorized batch rebuilds from the dict.  The ``committed`` bit is
+    dict; ``__setstate__`` starts a fresh dirty mirror, which the next
+    vectorized batch rebuilds from the dict).  Retirement keeps it in step
+    in place: :meth:`drop_writers_below` masks out evicted writes and
+    :meth:`renumber` applies a value-id remap.  The ``committed`` bit is
     cached per entry at registration; a transaction's committed flag never
     changes after creation, so the cache cannot go stale.
     """
@@ -1277,11 +1528,47 @@ class WritesIndex:
         """Drop the mirror; the next :meth:`ensure` rebuilds from the dict.
 
         Called whenever wids or entries change behind the mirror's back:
-        retirement eviction, value-intern remapping, checkpoint restore.
+        a value-intern remap, a refused batch, checkpoint restore.
         """
         self._dirty = True
         if self._enabled:
             self._reset()
+
+    def drop_writers_below(self, new_base: int) -> None:
+        """Drop every entry whose writer retired (``tid < new_base``).
+
+        Retirement evicts exactly those registrations from the dict, so the
+        mirror follows with one order-keeping mask instead of a rebuild
+        (the tail merges into ``main`` first, so one mask covers it).
+        """
+        if not self._enabled or self._dirty:
+            return
+        if self._tail_stale:
+            self._refresh_tail()
+        if self.t_wid:
+            self._merge_tail()
+        keep = self.m_tid >= new_base
+        if not keep.all():
+            self.m_wid = self.m_wid[keep]
+            self.m_tid = self.m_tid[keep]
+            self.m_wx = self.m_wx[keep]
+            self.m_flag = self.m_flag[keep]
+
+    def renumber(self, lut: "array") -> None:
+        """Apply a value-id renumbering ``lut[old vid] -> new vid`` in place.
+
+        The renumbering keeps the relative order of value ids (and key ids
+        do not change), so the sorted order of the packed wids holds.
+        """
+        if not self._enabled or self._dirty:
+            return
+        if self._tail_stale:
+            self._refresh_tail()
+        if self.t_wid:
+            self._merge_tail()
+        vmask = (1 << _VALUE_SHIFT) - 1
+        wid = self.m_wid
+        self.m_wid = (wid & ~vmask) | _np.frombuffer(lut, dtype=_np.int64)[wid & vmask]
 
     # -- registration notes (cheap, called from the fold's scalar loop) --------
 
@@ -1930,8 +2217,8 @@ class WriterProbeIndex:
     composite comparison.
 
     Derived state, like :class:`WritesIndex`: never pickled, and
-    :meth:`invalidate` resets it whenever retirement compacts the registry
-    out from under the cache.
+    :meth:`drop_retired` removes the rows a retirement compaction drops
+    from the registry.
     """
 
     __slots__ = ("_synced", "main_comp", "main_tid", "bucket_start", "tail_comp", "tail_tid")
@@ -1946,15 +2233,36 @@ class WriterProbeIndex:
             self.tail_tid = empty
             self.bucket_start = None
 
-    def invalidate(self) -> None:
-        self._synced = 0
-        if _np is not None:
-            empty = _np.zeros(0, dtype=_np.int64)
-            self.main_comp = empty
-            self.main_tid = empty
-            self.tail_comp = empty
-            self.tail_tid = empty
-            self.bucket_start = None
+    def drop_retired(self, new_base: int, registry_len: int) -> None:
+        """Mirror :func:`compact_writer_registry` at ``new_base`` in place.
+
+        Call after syncing against the registry *before* it compacted, with
+        the compacted registry's length.  Within a bucket the sorted run is
+        in session order, hence tid order, so the rows the compaction drops
+        -- every retired row but the bucket's last -- are the retired rows
+        whose successor is a retired row of the same bucket: one mask that
+        keeps the sort order.
+        """
+        if _np is None:
+            return
+        np = _np
+        if self.tail_comp.shape[0]:
+            comp = np.concatenate((self.main_comp, self.tail_comp))
+            tid = np.concatenate((self.main_tid, self.tail_tid))
+            order = np.argsort(comp)
+            self.main_comp = comp[order]
+            self.main_tid = tid[order]
+            self.tail_comp = self.tail_comp[:0]
+            self.tail_tid = self.tail_tid[:0]
+        comp = self.main_comp
+        old = self.main_tid < new_base
+        drop = np.zeros(comp.shape[0], dtype=bool)
+        drop[:-1] = old[:-1] & old[1:] & (comp[:-1] // _SIDX_SPAN == comp[1:] // _SIDX_SPAN)
+        keep = ~drop
+        self.main_comp = comp[keep]
+        self.main_tid = self.main_tid[keep]
+        self.bucket_start = None
+        self._synced = registry_len
 
     def sync(self, wb_bucket, wb_sidx, wb_tid, num_buckets: int) -> None:
         """Fold rows appended since the last sync into the sorted runs.

@@ -74,7 +74,8 @@ import pickle
 import time
 from array import array
 from bisect import bisect_left
-from itertools import islice, repeat
+from collections import Counter
+from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.cc import causality_cycles, causality_labels
@@ -92,6 +93,7 @@ from repro.core.violations import (
 )
 from repro.core.compiled import kernels as _kernels
 from repro.core.compiled.retire import (
+    LOG_NAMES,
     RetirementPolicy,
     RetireStats,
     SegmentStore,
@@ -143,9 +145,28 @@ _ATTEMPT_STEP = 1 << EDGE_SHIFT
 #: made the resident transaction heap columnar.  Version 7: the four
 #: inferred-edge logs are columnar :class:`~repro.core.compiled.kernels.EdgeLog`
 #: rows (packed edge, ``rank``, ``sub``) instead of ``edge -> meta`` dicts,
-#: and retirement segments spill the same columns as raw bytes.
+#: and retirement segments spill the same columns as raw bytes.  Version 8:
+#: retirement segments are checksummed column files (no pickle), and the
+#: written-key run offsets (``_fw_off``) are absolute.
 CHECKPOINT_MAGIC = b"AWDITCKPT"
-CHECKPOINT_VERSION = 7
+CHECKPOINT_VERSION = 8
+
+#: Retirement compacts a shared run array or the CC writer registry only
+#: once its garbage is at least its live size and at least this many
+#: entries, so each O(live) copy is paid for by as many retired entries
+#: (the same doubling rule as ``EdgeLog.settle``).
+_RUN_COMPACT_MIN = 1024
+
+#: Likewise for renumbering the value-intern table over the live writes.
+_VALUE_REMAP_MIN = 1024
+
+#: The shared run arrays: per-row ``(start, len)`` columns and the value
+#: columns they slice (see ``CompiledIncrementalChecker.__init__``).
+_RUN_GROUPS = (
+    ("_gr_start", "_gr_len", ("_gr_index", "_gr_kid", "_gr_writer")),
+    ("_wr_any_start", "_wr_any_len", ("_wr_any_writer", "_wr_any_kid")),
+    ("_wr_good_start", "_wr_good_len", ("_wr_good_writer", "_wr_good_kid")),
+)
 
 #: Bytes of file prefix hashed into the checkpoint source fingerprint.
 _FINGERPRINT_PREFIX = 1 << 16
@@ -231,6 +252,10 @@ class CompiledIncrementalChecker:
         #: transaction owning any current entry is pinned (a future read may
         #: still resolve to it), which stops the retirement scan.
         self._latest_writer: Dict[int, int] = {}
+        #: Every write registration of a retiring checker as ``(wid, tid)``
+        #: rows in tid order, so eviction visits only the retired prefix.
+        self._wreg_wid = array("q")
+        self._wreg_tid = array("q")
         self._retire_last = 0
         self._retired_final = None
 
@@ -240,9 +265,11 @@ class CompiledIncrementalChecker:
         # bit 3 cc_registered).  The written-key and first-read-per-writer
         # summaries are *runs* into shared append-only values arrays:
         # ``_fw_kid[_fw_off[j]:_fw_off[j+1]]`` is the transaction's written
-        # kids in first-write order, and the ``_wr_any`` / ``_wr_good``
-        # (start, len) pairs slice parallel (writer tid, kid) arrays in
-        # first-read order.  ``_wr_good_start[j] == -1`` is a sentinel for
+        # kids in first-write order (the offsets are absolute, so retiring a
+        # prefix only drops offsets until the array compacts), and the
+        # ``_wr_any`` / ``_wr_good`` (start, len) pairs slice parallel
+        # (writer tid, kid) arrays in first-read order.
+        # ``_wr_good_start[j] == -1`` is a sentinel for
         # "the good run equals the any run", and ``_wr_any_start[j] == -2``
         # for "derive both maps from the good-read run at consume time"
         # (the overwhelmingly common clean-fold case: every read is good,
@@ -658,6 +685,16 @@ class CompiledIncrementalChecker:
         gr_index.extend(r_index)
         gr_kid.extend(r_kid)
         gr_writer.extend(r_writer)
+        if retiring:
+            # Log every registration attempt of the batch as (wid, tid);
+            # eviction checks each row against the live entry, so rows
+            # that did not register (or were superseded) are harmless.
+            self._wreg_wid.extend(w_wid)
+            wreg_tid = self._wreg_tid
+            for t in range(len(w_start) - 1):
+                n = w_start[t + 1] - w_start[t]
+                if n:
+                    wreg_tid.extend(repeat(self._next_tid + t, n))
 
         if txn_end:
             self._num_operations += txn_end[-1]
@@ -1449,9 +1486,13 @@ class CompiledIncrementalChecker:
         if self._results is not None:
             raise RuntimeError("cannot checkpoint a finalized checker")
         # Store the edge logs reduced, so the file grows with distinct
-        # edges rather than emissions (exact, as in EdgeLog.settle).
+        # edges rather than emissions (exact, as in EdgeLog.settle), and
+        # drop the garbage retirement defers compacting, so the file holds
+        # only live state.
         for log in self._edge_logs():
             log.reduce()
+        if self._retire is not None:
+            self._compact_retired(force=True)
         payload = {
             "records_consumed": self._next_tid,
             "levels": [level.name for level in self._levels],
@@ -1467,17 +1508,23 @@ class CompiledIncrementalChecker:
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        # Derived kernel caches: cheap to rebuild, numpy-shaped, and not
-        # part of the checkpoint format; __setstate__ starts fresh mirrors
-        # that the next batch repopulates from the pickled dict/registry.
-        state.pop("_writes_index", None)
-        state.pop("_wb_probe", None)
+        # Derived state, cheap to rebuild and not part of the checkpoint
+        # format: the numpy-shaped kernel caches (__setstate__ starts fresh
+        # mirrors that the next batch repopulates from the pickled
+        # dict/registry) and the registration log (rebuilt from the dict).
+        for name in ("_writes_index", "_wb_probe", "_wreg_wid", "_wreg_tid"):
+            state.pop(name, None)
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._writes_index = _kernels.WritesIndex()
         self._wb_probe = _kernels.WriterProbeIndex()
+        if self._retire is not None:
+            self._log_resident_registrations()
+        else:
+            self._wreg_wid = array("q")
+            self._wreg_tid = array("q")
 
     # -- watermark-based retirement (see repro.core.compiled.retire) ------------
 
@@ -1505,7 +1552,19 @@ class CompiledIncrementalChecker:
                 if entry[3] > latest.get(kid, -1):
                     latest[kid] = entry[3]
             self._latest_writer = latest
+            self._log_resident_registrations()
             self._retire_last = self._next_tid
+
+    def _log_resident_registrations(self) -> None:
+        """Rebuild the registration log from the writes index.
+
+        Only the live entry of each wid can still be evicted, so the log
+        of a restored or newly retiring checker is exactly the resident
+        entries in tid order.
+        """
+        registered = sorted(self._writes.items(), key=lambda item: item[1][3])
+        self._wreg_wid = array("q", (wid for wid, _ in registered))
+        self._wreg_tid = array("q", (entry[3] for _, entry in registered))
 
     def _maybe_retire(self) -> None:
         """Attempt one retirement pass (end of ``append_batch``).
@@ -1535,6 +1594,7 @@ class CompiledIncrementalChecker:
         base = self._txns_base
         if limit <= base:
             return
+        start = time.perf_counter()
         # Eligibility scan, strictly in tid order (the retired set is always
         # a prefix, so tids stay dense below the base -- no hole maps).  A
         # committed transaction must be at or below the global low-watermark
@@ -1569,172 +1629,84 @@ class CompiledIncrementalChecker:
             new_base += 1
         if new_base > base:
             self._retire_to(new_base)
+        self._retire_stats.seconds += time.perf_counter() - start
 
     def _retire_to(self, new_base: int) -> None:
         """Retire every transaction below ``new_base`` into one segment.
 
-        Columnar compaction: the retiring transactions are a prefix of
-        every column, so eviction is one ``del column[:count]`` per flat
-        array (the hb matrix drops ``count`` whole rows the same way) plus
-        an O(live) rebuild of the shared run arrays the survivors index.
+        The retiring transactions are a prefix of every per-row column, so
+        eviction is one ``del column[:count]`` per flat array (the hb
+        matrix drops ``count`` whole rows the same way).  The segment is
+        cut from the same prefixes, the writes evicted are the prefix of
+        the registration log, and the shared run arrays, the CC writer
+        registry and the value-intern table compact only once their
+        garbage reaches their live size (``_compact_retired``), so a pass
+        costs what it retires plus numpy masks over the kernel mirrors.
         """
         base = self._txns_base
         count = new_base - base
         stats = self._retire_stats
         t_sid = self._t_sid
-        t_sidx = self._t_sidx
-        t_flags = self._t_flags
-        t_labels = self._t_labels
-        fw_off = self._fw_off
-        fw_kid = self._fw_kid
-        wany_start = self._wr_any_start
-        wany_len = self._wr_any_len
-        wany_writer = self._wr_any_writer
-        wany_kid = self._wr_any_kid
-        wgood_start = self._wr_good_start
-        wgood_len = self._wr_good_len
-        wgood_writer = self._wr_good_writer
-        wgood_kid = self._wr_good_kid
-        gr_start = self._gr_start
-        gr_len = self._gr_len
-        gr_index = self._gr_index
-        gr_kid = self._gr_kid
-        gr_writer = self._gr_writer
-
-        seg_txns: List[Tuple[int, int, int, bool, Optional[str]]] = []
-        seg_wr: List[Tuple[int, list, list]] = []
-        per_session: Dict[int, int] = {}
-        for j in range(count):
-            tid = base + j
-            sid = t_sid[j]
-            committed = bool(t_flags[j] & 1)
-            seg_txns.append((tid, sid, t_sidx[j], committed, t_labels[j]))
-            if committed:
-                a = wany_start[j]
-                if a == -2:
-                    # Derive sentinel: the first-per-writer map materializes
-                    # from the good-read run only here, at the segment
-                    # boundary (the fold never built the dict at all).
-                    any_pairs = []
-                    seen: Set[int] = set()
-                    ga = gr_start[j]
-                    for g in range(ga, ga + gr_len[j]):
-                        w = gr_writer[g]
-                        if w not in seen:
-                            seen.add(w)
-                            any_pairs.append((w, gr_kid[g]))
-                    if any_pairs:
-                        seg_wr.append((tid, any_pairs, list(any_pairs)))
-                else:
-                    alen = wany_len[j]
-                    gs = wgood_start[j]
-                    glen = alen if gs < 0 else wgood_len[j]
-                    if alen or glen:
-                        any_pairs = list(
-                            zip(wany_writer[a : a + alen], wany_kid[a : a + alen])
-                        )
-                        if gs < 0:
-                            good_pairs = list(any_pairs)
-                        else:
-                            good_pairs = list(
-                                zip(
-                                    wgood_writer[gs : gs + glen],
-                                    wgood_kid[gs : gs + glen],
-                                )
-                            )
-                        seg_wr.append((tid, any_pairs, good_pairs))
-            per_session[sid] = per_session.get(sid, 0) + 1
-        del t_sid[:count]
-        del t_sidx[:count]
-        del t_flags[:count]
-        del self._t_unres[:count]
-        del self._t_ccpend[:count]
-        del self._t_slow[:count]
-        del t_labels[:count]
+        flags, wr_any, wr_good = _kernels.retired_wr_columns(
+            base,
+            self._t_flags[:count],
+            (self._wr_any_start, self._wr_any_len, self._wr_any_writer, self._wr_any_kid),
+            (self._wr_good_start, self._wr_good_len, self._wr_good_writer, self._wr_good_kid),
+            (self._gr_start, self._gr_len, self._gr_kid, self._gr_writer),
+        )
+        seg_sid = t_sid[:count]
+        seg_sidx = self._t_sidx[:count]
+        seg_labels = self._t_labels[:count]
+        for column in (
+            t_sid,
+            self._t_sidx,
+            self._t_flags,
+            self._t_unres,
+            self._t_ccpend,
+            self._t_slow,
+            self._t_labels,
+            self._fw_off,
+            self._wr_any_start,
+            self._wr_any_len,
+            self._wr_good_start,
+            self._wr_good_len,
+            self._gr_start,
+            self._gr_len,
+        ):
+            del column[:count]
         del self._hb_data[: count * self._clock_stride]
-        # Final-write runs: drop the retired prefix of the shared kid array
-        # and rebase the offsets.
-        cut = fw_off[count]
-        del fw_kid[:cut]
-        self._fw_off = array("q", (value - cut for value in islice(fw_off, count, None)))
-        # wr runs: prefix-delete the per-txn columns, then rebuild the
-        # shared pair arrays from the survivors (O(live state)).
-        del wany_start[:count]
-        del wany_len[:count]
-        del wgood_start[:count]
-        del wgood_len[:count]
-        new_aw = array("q")
-        new_ak = array("q")
-        for j in range(len(wany_start)):
-            length = wany_len[j]
-            if length:
-                s = wany_start[j]
-                wany_start[j] = len(new_aw)
-                new_aw.extend(wany_writer[s : s + length])
-                new_ak.extend(wany_kid[s : s + length])
-            elif wany_start[j] != -2:
-                # Keep the derive sentinel: those rows' wr maps live in the
-                # good-read runs, not here.
-                wany_start[j] = -1
-        self._wr_any_writer = new_aw
-        self._wr_any_kid = new_ak
-        new_gw = array("q")
-        new_gk = array("q")
-        for j in range(len(wgood_start)):
-            gs = wgood_start[j]
-            if gs >= 0:
-                length = wgood_len[j]
-                wgood_start[j] = len(new_gw)
-                new_gw.extend(wgood_writer[gs : gs + length])
-                new_gk.extend(wgood_kid[gs : gs + length])
-        self._wr_good_writer = new_gw
-        self._wr_good_kid = new_gk
-        # Good-read runs compact the same way: prefix-delete the per-txn
-        # columns, rebuild the shared triple arrays from the survivors.
-        del gr_start[:count]
-        del gr_len[:count]
-        new_gi = array("q")
-        new_gd = array("q")
-        new_gr = array("q")
-        for j in range(len(gr_start)):
-            length = gr_len[j]
-            if length:
-                s = gr_start[j]
-                gr_start[j] = len(new_gi)
-                new_gi.extend(gr_index[s : s + length])
-                new_gd.extend(gr_kid[s : s + length])
-                new_gr.extend(gr_writer[s : s + length])
-            else:
-                gr_start[j] = -1
-        self._gr_index = new_gi
-        self._gr_kid = new_gd
-        self._gr_writer = new_gr
         self._txns_base = new_base
         by_session = self._by_session
         sess_base = self._sess_base
-        for sid, removed in per_session.items():
+        for sid, removed in Counter(seg_sid).items():
             # Within a session tids ascend with the session index, so the
             # retiring transactions are exactly its oldest ``removed``.
             del by_session[sid][:removed]
             sess_base[sid] += removed
 
-        # Evict writes whose writer retired.  Their identities survive only
-        # as digests inside the segment: zero resident bytes per evicted
-        # write, and the finalize-time scans still catch a read of (or a
-        # duplicate registration for) an evicted identity.
+        # Evict writes whose writer retired: the registration log's prefix
+        # below the new base names every candidate.  Their identities
+        # survive only as digests inside the segment: zero resident bytes
+        # per evicted write, and the finalize-time scans still catch a read
+        # of (or a duplicate registration for) an evicted identity.
         writes = self._writes
+        writes_get = writes.get
         folded = self._folded_read_wids
         key_names = self._key_table.values
         value_objs = self._value_table.values
         vmask = (1 << _VALUE_SHIFT) - 1
         digests: List[int] = []
-        evicted = [wid for wid, entry in writes.items() if entry[3] < new_base]
-        for wid in evicted:
-            del writes[wid]
-            folded.discard(wid)
-            digests.append(
-                stable_digest(key_names[wid >> _VALUE_SHIFT], value_objs[wid & vmask])
-            )
+        cut = bisect_left(self._wreg_tid, new_base)
+        for wid in self._wreg_wid[:cut]:
+            entry = writes_get(wid)
+            if entry is not None and entry[3] < new_base:
+                del writes[wid]
+                folded.discard(wid)
+                digests.append(
+                    stable_digest(key_names[wid >> _VALUE_SHIFT], value_objs[wid & vmask])
+                )
+        del self._wreg_wid[:cut]
+        del self._wreg_tid[:cut]
         digests.sort()
 
         # Spill edge-log rows whose low endpoint retired: that endpoint is
@@ -1746,100 +1718,143 @@ class CompiledIncrementalChecker:
         # live rows.
         spilled_logs: Dict[str, Tuple[bytes, bytes, bytes]] = {}
         total_spilled = 0
-        for name, log in (
-            ("rc", self._rc_log),
-            ("ra", self._ra_log),
-            ("ra_so", self._ra_so_log),
-            ("cc", self._cc_log),
-        ):
+        for name, log in zip(LOG_NAMES, self._edge_logs()):
             payload = log.spill(new_base)
             if payload is not None:
                 spilled_logs[name] = payload
                 total_spilled += len(payload[0]) // 8
 
-        # Compact the CC writer registry: inside each (key, session) slot
-        # the retired rows form a prefix (rows append in arrival order);
-        # keep only the *last* retired row.  Any future probe's bound is at
-        # least the watermark, and the kept row's session index is at most
-        # the watermark -- so the kept row answers every probe any removed
-        # row could have answered, and the "latest row <= bound" answer is
-        # unchanged.  Reader pointer rows shift down by the removed count
-        # (a pointer landing at 0 re-advances on its next probe, because
-        # the kept row is always at or below the bound); the flat
-        # append-order mirror compacts through the kernels module.
-        removed_per_bucket: Dict[int, int] = {}
-        if self._cc_enabled:
-            for entry in self._writers_by_key.values():
-                for slot in entry[1]:
-                    retired_rows = bisect_left(slot[0], new_base)
-                    if retired_rows > 1:
-                        removed = retired_rows - 1
-                        del slot[0][:removed]
-                        del slot[1][:removed]
-                        removed_per_bucket[slot[2]] = removed
-            if removed_per_bucket:
-                for row in self._cc_ptr_rows:
-                    for bid, removed in removed_per_bucket.items():
-                        if bid < len(row) and row[bid]:
-                            row[bid] = row[bid] - removed if row[bid] > removed else 0
-                self._wb_bucket, self._wb_sidx, self._wb_tid = (
-                    _kernels.compact_writer_registry(
-                        self._wb_bucket,
-                        self._wb_sidx,
-                        self._wb_tid,
-                        removed_per_bucket,
-                        self._num_buckets,
-                    )
-                )
-
-        # Value-intern compaction: under the guard the only vid references
-        # left are the keys of the writes index, so rebuild the table over
-        # the survivors (relative order preserved; vid assignment is
-        # invisible in output -- witnesses render value *objects*).  Only
-        # worth the O(live) rebuild when eviction freed a real chunk.
-        remapped = False
-        live_vids = {wid & vmask for wid in writes}
-        if len(value_objs) - len(live_vids) >= 1024:
-            ordered = sorted(live_vids)
-            vid_map = {old: new for new, old in enumerate(ordered)}
-            table = Intern()
-            for old in ordered:
-                table.intern(value_objs[old])
-            self._value_table = table
-            self._writes = {
-                (wid & ~vmask) | vid_map[wid & vmask]: entry
-                for wid, entry in writes.items()
-            }
-            self._folded_read_wids = {
-                (wid & ~vmask) | vid_map[wid & vmask] for wid in folded
-            }
-            remapped = True
+        # The resolve mirror drops the evicted wids with one mask.
+        self._writes_index.drop_writers_below(new_base)
+        self._compact_retired(force=False)
 
         self._segments.write(
-            {
-                "txns": seg_txns,
-                "wr": seg_wr,
-                "logs": spilled_logs,
-                "digests": digests,
-            }
+            base, seg_sid, seg_sidx, flags, seg_labels, wr_any, wr_good,
+            spilled_logs, digests,
         )
-
-        # The resolve/probe kernel mirrors index structures this pass just
-        # compacted (wid eviction, value-id remap, writer-registry rows);
-        # drop them and let the next batch rebuild from the live dicts.
-        self._writes_index.invalidate()
-        self._wb_probe.invalidate()
 
         stats.retired_transactions += count
         stats.passes += 1
         stats.segments = len(self._segments)
         stats.evicted_writes += len(digests)
         stats.spilled_edges += total_spilled
-        if remapped or removed_per_bucket:
-            stats.remap_epochs += 1
         resident = len(t_sid)
         if resident > stats.post_compaction_peak:
             stats.post_compaction_peak = resident
+
+    def _compact_retired(self, force: bool) -> None:
+        """Compact what retirement left behind.
+
+        Without ``force`` each structure compacts only once its garbage is
+        at least its live size and the floor (``_RUN_COMPACT_MIN``,
+        ``_VALUE_REMAP_MIN``); with ``force`` (a checkpoint save) any
+        garbage at all compacts, and the value table renumbers only if no
+        parked or unfolded read still holds a value id.
+        """
+        compacted = self._cc_enabled and self._compact_registry(force)
+        fw_off = self._fw_off
+        cut = fw_off[0]
+        if cut and cut >= (1 if force else max(len(self._fw_kid) - cut, _RUN_COMPACT_MIN)):
+            del self._fw_kid[:cut]
+            self._fw_off = _kernels.shift_column(fw_off, -cut)
+        for start_name, len_name, value_names in _RUN_GROUPS:
+            starts = getattr(self, start_name)
+            lens = getattr(self, len_name)
+            columns = [getattr(self, name) for name in value_names]
+            live = sum(lens)
+            garbage = len(columns[0]) - live
+            if garbage >= (1 if force else max(live, _RUN_COMPACT_MIN)):
+                new_starts, new_columns = _kernels.compact_runs(starts, lens, columns)
+                setattr(self, start_name, new_starts)
+                for name, column in zip(value_names, new_columns):
+                    setattr(self, name, column)
+        remapped = False
+        if not force or not (self._pending or self._num_unfolded):
+            remapped = self._remap_values(force)
+        if remapped or compacted:
+            self._retire_stats.remap_epochs += 1
+
+    def _compact_registry(self, force: bool) -> bool:
+        """Drop retired CC writer-registry rows but each bucket's last.
+
+        Inside each (key, session) slot the retired rows form a prefix
+        (rows append in arrival order); only the *last* retired row stays.
+        Any future probe's bound is at least the watermark, and the kept
+        row's session index is at most the watermark -- so the kept row
+        answers every probe any removed row could have answered, and the
+        "latest row <= bound" answer is unchanged.  Reader pointer rows
+        shift down by the removed count (a pointer landing at 0
+        re-advances on its next probe, because the kept row is always at
+        or below the bound); the flat append-order mirror compacts through
+        the kernels module and the probe index (which only the vectorized
+        flush reads) drops the same rows.
+        """
+        new_base = self._txns_base
+        garbage = _kernels.registry_garbage(self._wb_bucket, self._wb_tid, new_base)
+        if garbage < (1 if force else max(len(self._wb_tid) - garbage, _RUN_COMPACT_MIN)):
+            return False
+        probe_index = self._wb_probe
+        filter_probe = _np is not None and self._num_buckets < _kernels._MAX_BUCKETS
+        if filter_probe:
+            probe_index.sync(
+                self._wb_bucket, self._wb_sidx, self._wb_tid, self._num_buckets
+            )
+        removed_per_bucket: Dict[int, int] = {}
+        for entry in self._writers_by_key.values():
+            for slot in entry[1]:
+                retired_rows = bisect_left(slot[0], new_base)
+                if retired_rows > 1:
+                    removed = retired_rows - 1
+                    del slot[0][:removed]
+                    del slot[1][:removed]
+                    removed_per_bucket[slot[2]] = removed
+        for row in self._cc_ptr_rows:
+            for bid, removed in removed_per_bucket.items():
+                if bid < len(row) and row[bid]:
+                    row[bid] = row[bid] - removed if row[bid] > removed else 0
+        self._wb_bucket, self._wb_sidx, self._wb_tid = _kernels.compact_writer_registry(
+            self._wb_bucket,
+            self._wb_sidx,
+            self._wb_tid,
+            removed_per_bucket,
+            self._num_buckets,
+        )
+        if filter_probe:
+            probe_index.drop_retired(new_base, len(self._wb_tid))
+        return True
+
+    def _remap_values(self, force: bool) -> bool:
+        """Renumber the value-intern table over the live writes.
+
+        Outside a parked or unfolded read, the only value-id references
+        left are the write ids of the writes index (plus the folded-read
+        set and the registration log, which name a subset of them), so the
+        table rebuilds over the survivors in their relative order.  Value
+        ids never reach the output -- witnesses render value *objects* --
+        so the renumbering is invisible.
+        """
+        table = self._value_table
+        writes = self._writes
+        if not force and len(table) - len(writes) < max(len(writes), _VALUE_REMAP_MIN):
+            return False
+        wids = list(writes)
+        ordered, lut = _kernels.live_value_ids(wids, len(table))
+        if len(ordered) == len(table):
+            return False
+        values = table.values
+        fresh = Intern()
+        fresh.values = [values[old] for old in ordered]
+        fresh._ids = dict(zip(fresh.values, range(len(ordered))))
+        self._value_table = fresh
+        self._writes = dict(zip(_kernels.renumber_wids(wids, lut), writes.values()))
+        self._folded_read_wids = set(
+            _kernels.renumber_wids(list(self._folded_read_wids), lut)
+        )
+        self._writes_index.renumber(lut)
+        self._wreg_wid, self._wreg_tid = _kernels.remap_wid_log(
+            self._wreg_wid, self._wreg_tid, lut
+        )
+        return True
 
     # -- session bookkeeping ---------------------------------------------------
 
@@ -2651,14 +2666,10 @@ class CompiledIncrementalChecker:
         # Per-read rows come straight off the shared good-read run columns:
         # each pending transaction's (start, len) run expands to flat
         # positions with one arange/cumsum, no per-read Python loop.
-        lens = np.frombuffer(gr_len, dtype=np.int64)[js]
-        starts_g = np.frombuffer(self._gr_start, dtype=np.int64)[js]
-        read_rec_a = np.repeat(np.arange(nrec, dtype=np.int64), lens)
-        cum = np.cumsum(lens) - lens
-        pos = (
-            np.arange(total, dtype=np.int64)
-            - cum[read_rec_a]
-            + starts_g[read_rec_a]
+        read_rec_a, pos = _kernels.gather_runs(
+            np.arange(nrec, dtype=np.int64),
+            np.frombuffer(self._gr_start, dtype=np.int64)[js],
+            np.frombuffer(gr_len, dtype=np.int64)[js],
         )
         read_key_a = np.frombuffer(self._gr_kid, dtype=np.int64)[pos]
         read_t1_a = np.frombuffer(self._gr_writer, dtype=np.int64)[pos]
@@ -2724,27 +2735,93 @@ class CompiledIncrementalChecker:
 
     # -- finalize helpers --------------------------------------------------------
 
-    def _final_sessions(self):
-        """Per-session record sequences for the finalize loops.
+    def _final_rows(self, sid: int):
+        """``(tid, label, committed)`` of session ``sid``'s transactions.
 
-        Without retirement this is ``_by_session`` itself (zero overhead);
-        with retirement each session's retired stand-ins (reloaded from the
-        segments) are prepended, so the loops below see every transaction
-        of the history in session order exactly as a never-evicting run
-        would.  Entries are therefore *mixed*: plain ``int`` transaction
-        ids for resident rows (read through the columns) and retired
-        stand-in objects (read through their attributes).
+        Without retirement these are the resident rows; with retirement the
+        session's retired prefix (reloaded from the segments) comes first,
+        so the loops below see every transaction of the history in session
+        order exactly as a never-evicting run would.
         """
         retired = self._retired_final
-        if retired is None:
-            return self._by_session
-        merged = []
-        for sid, records in enumerate(self._by_session):
-            front = retired.records[sid]
+        if retired is not None:
+            front = retired.sessions[sid]
             if len(front) != self._sess_base[sid]:  # pragma: no cover - defensive
                 raise AssertionError("segment store lost retired transactions")
-            merged.append(front + list(records))
-        return merged
+            flags = retired.flags
+            labels = retired.labels
+            for tid in front:
+                yield tid, labels[tid], flags[tid] & 1
+        tbase = self._txns_base
+        t_flags = self._t_flags
+        t_labels = self._t_labels
+        for tid in self._by_session[sid]:
+            j = tid - tbase
+            yield tid, t_labels[j], t_flags[j] & 1
+
+    def _final_wr(self, good: bool):
+        """``(reader, writer, kid)`` of every resident committed wr pair.
+
+        The first read per distinct writer of each resident transaction,
+        session by session, each reader's pairs in first-read order;
+        ``good`` selects the good-read maps instead of the any maps.  The
+        retired pairs come from the segments as one block
+        (:meth:`_append_retired_wr`).
+        """
+        tbase = self._txns_base
+        t_flags = self._t_flags
+        wany_start = self._wr_any_start
+        wany_len = self._wr_any_len
+        wany_writer = self._wr_any_writer
+        wany_kid = self._wr_any_kid
+        wgood_start = self._wr_good_start
+        wgood_len = self._wr_good_len
+        wgood_writer = self._wr_good_writer
+        wgood_kid = self._wr_good_kid
+        gr_start = self._gr_start
+        gr_len = self._gr_len
+        gr_kid = self._gr_kid
+        gr_writer = self._gr_writer
+        for records in self._by_session:
+            for tid in records:
+                j = tid - tbase
+                if not t_flags[j] & 1:
+                    continue
+                a = wany_start[j]
+                if good and wgood_start[j] >= 0:
+                    # Explicit good run (possibly empty: every external
+                    # committed read was bad).
+                    gs = wgood_start[j]
+                    for idx in range(gs, gs + wgood_len[j]):
+                        yield tid, wgood_writer[idx], wgood_kid[idx]
+                elif a >= 0:
+                    for idx in range(a, a + wany_len[j]):
+                        yield tid, wany_writer[idx], wany_kid[idx]
+                elif a == -2:
+                    # Derive sentinel: every external committed read was
+                    # good, so both maps are the first read per distinct
+                    # writer over the good-read run, in read order -- exactly
+                    # the dict insertion order _store_wr_runs serializes.
+                    ga = gr_start[j]
+                    seen: Set[int] = set()
+                    for g in range(ga, ga + gr_len[j]):
+                        w = gr_writer[g]
+                        if w not in seen:
+                            seen.add(w)
+                            yield tid, w, gr_kid[g]
+
+    def _append_retired_wr(self, mapping: List[int], wr_log, wr_keys, good: bool) -> None:
+        """Append the retired wr pairs, renumbered, ahead of the resident ones.
+
+        A reader's pairs name distinct writers and every reader is either
+        retired or resident, so no packed wr edge occurs twice: the block
+        order cannot change the frozen relation or any first-wins label.
+        """
+        retired = self._retired_final
+        if retired is not None:
+            readers, writers, kids = retired.wr_good() if good else retired.wr_any
+            wr_log.extend(_kernels.remap_pairs(mapping, readers, writers))
+            wr_keys.extend(kids)
 
     def _spilled_run(self, name: str) -> Optional[_kernels.EdgeLog]:
         """The segments' spilled rows of one edge log."""
@@ -2765,21 +2842,10 @@ class CompiledIncrementalChecker:
         so_edges = array("Q")
         so_append = so_edges.append
         batch_tid = 0
-        tbase = self._txns_base
-        t_flags = self._t_flags
-        t_labels = self._t_labels
-        for records in self._final_sessions():
+        for sid in range(len(self._by_session)):
             previous = -1
-            for rec in records:
-                if type(rec) is int:
-                    jrow = rec - tbase
-                    mapping[rec] = batch_tid
-                    label = t_labels[jrow]
-                    committed = t_flags[jrow] & 1
-                else:
-                    mapping[rec.tid] = batch_tid
-                    label = rec.label
-                    committed = rec.committed
+            for tid, label, committed in self._final_rows(sid):
+                mapping[tid] = batch_tid
                 names[batch_tid] = label if label is not None else f"t{batch_tid}"
                 if committed:
                     committed_ids.append(batch_tid)
@@ -2804,52 +2870,12 @@ class CompiledIncrementalChecker:
             key_names=self._key_table.values,
         )
         relation._so_log.extend(so_edges)
+        self._append_retired_wr(mapping, relation._wr_log, relation._wr_keys, good=False)
         wr_append = relation._wr_log.append
         wrk_append = relation._wr_keys.append
-        tbase = self._txns_base
-        t_flags = self._t_flags
-        wany_start = self._wr_any_start
-        wany_len = self._wr_any_len
-        wany_writer = self._wr_any_writer
-        wany_kid = self._wr_any_kid
-        gr_start = self._gr_start
-        gr_len = self._gr_len
-        gr_kid = self._gr_kid
-        gr_writer = self._gr_writer
-        for records in self._final_sessions():
-            for rec in records:
-                if type(rec) is int:
-                    jrow = rec - tbase
-                    if not t_flags[jrow] & 1:
-                        continue
-                    reader = mapping[rec]
-                    a = wany_start[jrow]
-                    if a >= 0:
-                        for idx in range(a, a + wany_len[jrow]):
-                            wr_append(
-                                (mapping[wany_writer[idx]] << EDGE_SHIFT) | reader
-                            )
-                            wrk_append(wany_kid[idx])
-                    elif a == -2:
-                        # Derive sentinel: every external committed read was
-                        # good, so the first-read-per-writer map falls out of
-                        # the good-read run in read order -- exactly the dict
-                        # insertion order _store_wr_runs used to serialize.
-                        ga = gr_start[jrow]
-                        seen: Set[int] = set()
-                        for g in range(ga, ga + gr_len[jrow]):
-                            w = gr_writer[g]
-                            if w not in seen:
-                                seen.add(w)
-                                wr_append((mapping[w] << EDGE_SHIFT) | reader)
-                                wrk_append(gr_kid[g])
-                else:
-                    if not rec.committed:
-                        continue
-                    reader = mapping[rec.tid]
-                    for writer, kid in rec.wr_first_any.items():
-                        wr_append((mapping[writer] << EDGE_SHIFT) | reader)
-                        wrk_append(kid)
+        for reader, writer, kid in self._final_wr(good=False):
+            wr_append((mapping[writer] << EDGE_SHIFT) | mapping[reader])
+            wrk_append(kid)
         log.drain(mapping, relation, spilled)
         return relation
 
@@ -2863,77 +2889,19 @@ class CompiledIncrementalChecker:
         so_log: List[int] = []
         wr_log: List[int] = []
         wr_keys: List[int] = []
-        tbase = self._txns_base
-        t_flags = self._t_flags
-        final_sessions = self._final_sessions()
-        for records in final_sessions:
+        for sid in range(len(self._by_session)):
             previous = -1
-            for rec in records:
-                if type(rec) is int:
-                    if not t_flags[rec - tbase] & 1:
-                        continue
-                    current = mapping[rec]
-                else:
-                    if not rec.committed:
-                        continue
-                    current = mapping[rec.tid]
+            for tid, _label, committed in self._final_rows(sid):
+                if not committed:
+                    continue
+                current = mapping[tid]
                 if previous >= 0:
                     so_log.append((previous << EDGE_SHIFT) | current)
                 previous = current
-        wany_start = self._wr_any_start
-        wany_len = self._wr_any_len
-        wany_writer = self._wr_any_writer
-        wany_kid = self._wr_any_kid
-        wgood_start = self._wr_good_start
-        wgood_len = self._wr_good_len
-        wgood_writer = self._wr_good_writer
-        wgood_kid = self._wr_good_kid
-        gr_start = self._gr_start
-        gr_len = self._gr_len
-        gr_kid = self._gr_kid
-        gr_writer = self._gr_writer
-        for records in final_sessions:
-            for rec in records:
-                if type(rec) is int:
-                    jrow = rec - tbase
-                    if not t_flags[jrow] & 1:
-                        continue
-                    reader = mapping[rec]
-                    gs = wgood_start[jrow]
-                    if gs >= 0:
-                        # Explicit good run (possibly empty: every external
-                        # committed read was bad).
-                        src_w, src_k = wgood_writer, wgood_kid
-                        a, n = gs, wgood_len[jrow]
-                    elif wany_start[jrow] == -2:
-                        # Derive sentinel: good == any == first-per-writer
-                        # over the good-read run (see _build_relation).
-                        ga = gr_start[jrow]
-                        seen: Set[int] = set()
-                        for g in range(ga, ga + gr_len[jrow]):
-                            w = gr_writer[g]
-                            if w not in seen:
-                                seen.add(w)
-                                wr_log.append(
-                                    (mapping[w] << EDGE_SHIFT) | reader
-                                )
-                                wr_keys.append(gr_kid[g])
-                        continue
-                    else:
-                        # -1 sentinel: the good map equals the any map.
-                        src_w, src_k = wany_writer, wany_kid
-                        a = wany_start[jrow]
-                        n = wany_len[jrow] if a >= 0 else 0
-                    for idx in range(a, a + n):
-                        wr_log.append((mapping[src_w[idx]] << EDGE_SHIFT) | reader)
-                        wr_keys.append(src_k[idx])
-                else:
-                    if not rec.committed:
-                        continue
-                    reader = mapping[rec.tid]
-                    for writer, kid in rec.wr_first_good.items():
-                        wr_log.append((mapping[writer] << EDGE_SHIFT) | reader)
-                        wr_keys.append(kid)
+        self._append_retired_wr(mapping, wr_log, wr_keys, good=True)
+        for reader, writer, kid in self._final_wr(good=True):
+            wr_log.append((mapping[writer] << EDGE_SHIFT) | mapping[reader])
+            wr_keys.append(kid)
         graph = freeze_packed(self._next_tid, (so_log, wr_log))
         labels = causality_labels(
             so_log, wr_log, wr_keys, key_names=self._key_table.values

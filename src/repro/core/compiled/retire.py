@@ -17,7 +17,10 @@ memory bounded by the *live window*:
 * :class:`SegmentStore` -- the archival segment format.  Each retirement pass
   rotates the retired transactions' metadata, their write-read edges, the
   finalized portion of the edge logs, and the digests of evicted write
-  identities into one pickled segment file; finalize reloads the segments to
+  identities into one segment file of raw columns under a versioned header
+  and a blake2b checksum (:func:`encode_segment`; no pickle, so loading one
+  runs no code, and a truncated or garbled file is a one-line refusal);
+  finalize reloads the segments as columns (:class:`RetiredState`) to
   render verdicts and witnesses byte-identical to a never-evicting run.
 * :func:`stable_digest` -- a 64-bit blake2b digest of a ``(key, value)``
   write identity.  Digests live *on disk only* (inside segments), so the
@@ -44,9 +47,11 @@ between two honest 64-bit digests is ~3e-8 at a million evicted identities.
 from __future__ import annotations
 
 import os
-import pickle
+import struct
+import sys
 import tempfile
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from hashlib import blake2b
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -59,8 +64,12 @@ from repro.core.model import HistoryFormatError
 DEFAULT_LAG = 4096
 
 #: Default retirement cadence: attempt a pass every this many appended
-#: transactions.  Each pass is O(resident state), so the cadence amortizes it
-#: against the appends that funded the growth.
+#: transactions.  A pass costs work proportional to what it retires (the
+#: eligibility scan, the segment columns, the evicted writes), plus numpy
+#: masks over the resident kernel mirrors; the shared run arrays, the
+#: writer registry and the value-intern table compact only once their
+#: garbage reaches their live size, so that O(live) rebuild amortizes to
+#: O(1) per retired entry.  The cadence batches the per-pass overhead.
 DEFAULT_EVERY = 1024
 
 
@@ -108,8 +117,11 @@ class RetireStats:
     #: after each compaction -- the honest "how big does the live window stay"
     #: number (mid-pass growth between passes is bounded by ``every + lag``).
     post_compaction_peak: int = 0
+    #: Wall seconds spent inside retirement passes (eligibility scan
+    #: included), so the cost of ``--retire`` is visible without a profiler.
+    seconds: float = 0.0
 
-    def as_dict(self) -> Dict[str, int]:
+    def as_dict(self) -> Dict[str, float]:
         return {
             "retired_transactions": self.retired_transactions,
             "retire_passes": self.passes,
@@ -118,6 +130,7 @@ class RetireStats:
             "evicted_writes": self.evicted_writes,
             "spilled_edges": self.spilled_edges,
             "post_compaction_peak_resident": self.post_compaction_peak,
+            "retire_seconds": self.seconds,
         }
 
 
@@ -177,25 +190,197 @@ def stable_digest(key: object, value: object) -> int:
     return int.from_bytes(blake2b(payload, digest_size=8).digest(), "big")
 
 
-#: Segment payload keys (one pickled dict per retirement pass):
-#:   ``txns``    -- ``[(tid, sid, sidx, committed, label), ...]`` in tid order
-#:   ``wr``      -- ``[(reader_tid, [(writer, kid)...], [(writer, kid)...])]``
-#:                  (first-any then first-good per key, committed readers only)
-#:   ``logs``    -- ``{log_name: (edge, rank, sub)}`` raw bytes of the
-#:                  edge-log rows whose low endpoint retired (see
-#:                  :meth:`~repro.core.compiled.kernels.EdgeLog.spill`)
-#:   ``digests`` -- sorted 64-bit digests of the write identities evicted by
-#:                  this pass
-_SEGMENT_SUFFIX = ".seg.pkl"
+#: Segment file header: magic, format version, then the row counts
+#: ``first_tid, txns, label_bytes, any, good, rc, ra, ra_so, cc, digests``.
+SEGMENT_MAGIC = b"AWDITSEG"
+SEGMENT_VERSION = 1
+_HEADER = struct.Struct("<8sB7x10q")
+_CHECKSUM_BYTES = 32
+_SEGMENT_SUFFIX = ".seg"
+#: The spilled edge logs, in file order.
+LOG_NAMES = ("rc", "ra", "ra_so", "cc")
+
+#: Segment row flags: bit 0 committed, bit 1 the good map is stored apart
+#: from the any map (otherwise the two are equal).
+FLAG_COMMITTED = 1
+FLAG_OWN_GOOD = 2
+
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _le(column, typecode: str) -> bytes:
+    """Little-endian bytes of an ``array`` or numpy column."""
+    data = column if isinstance(column, bytes) else column.tobytes()
+    if _BIG_ENDIAN and typecode != "B":  # pragma: no cover - little-endian CI
+        swapped = array(typecode)
+        swapped.frombytes(data)
+        swapped.byteswap()
+        data = swapped.tobytes()
+    return data
+
+
+def _corrupt_segment(path: str) -> HistoryFormatError:
+    return HistoryFormatError(
+        f"{path}: retirement segment is truncated or corrupt; re-run without --resume"
+    )
+
+
+def encode_segment(
+    first_tid: int,
+    sid,
+    sidx,
+    flags,
+    labels: Sequence[Optional[str]],
+    wr_any: Tuple[object, object, object],
+    wr_good: Tuple[object, object, object],
+    logs: Dict[str, Tuple[bytes, bytes, bytes]],
+    digests: Sequence[int],
+) -> bytes:
+    """One retirement pass as a segment file's bytes.
+
+    The columns are ``array``s or numpy vectors: per retired transaction
+    (transaction ``first_tid + i`` is row ``i``) its session id, session
+    index and :data:`FLAG_COMMITTED`/:data:`FLAG_OWN_GOOD` flags (int64,
+    int64, uint8) and its label; the first-read-per-writer maps as
+    ``(reader, writer, kid)`` int64 triples in reader order (``wr_good``
+    holds only the rows flagged :data:`FLAG_OWN_GOOD`); the spilled
+    edge-log rows as :meth:`~repro.core.compiled.kernels.EdgeLog.spill`
+    payloads; and the sorted digests of the evicted write identities.
+    Labels are UTF-8 (lone surrogates pass through) with a per-row byte
+    length, ``-1`` for no label.  A blake2b checksum of everything before
+    it closes the file.
+    """
+    count = len(sid)
+    if labels.count(None) == count:
+        lengths = array("q", [-1]) * count
+        blob = b""
+    else:
+        encoded = [
+            None if label is None else str(label).encode("utf-8", "surrogatepass")
+            for label in labels
+        ]
+        lengths = array("q", [-1 if e is None else len(e) for e in encoded])
+        blob = b"".join(e for e in encoded if e is not None)
+    log_rows = [logs.get(name, (b"", b"", b"")) for name in LOG_NAMES]
+    parts = [
+        _HEADER.pack(
+            SEGMENT_MAGIC,
+            SEGMENT_VERSION,
+            first_tid,
+            count,
+            len(blob),
+            len(wr_any[0]),
+            len(wr_good[0]),
+            *(len(rows[0]) // 8 for rows in log_rows),
+            len(digests),
+        ),
+        _le(sid, "q"),
+        _le(sidx, "q"),
+        _le(lengths, "q"),
+        _le(flags, "B"),
+        blob,
+    ]
+    parts.extend(_le(column, "q") for column in wr_any)
+    parts.extend(_le(column, "q") for column in wr_good)
+    for rows in log_rows:
+        parts.extend(_le(column, code) for column, code in zip(rows, "Qqq"))
+    parts.append(_le(array("Q", digests), "Q"))
+    body = b"".join(parts)
+    return body + blake2b(body, digest_size=_CHECKSUM_BYTES).digest()
+
+
+class Segment:
+    """One decoded segment: the columns :func:`encode_segment` wrote."""
+
+    __slots__ = (
+        "path", "first_tid", "sid", "sidx", "flags", "labels",
+        "wr_any", "wr_good", "logs", "digests",
+    )
+
+
+def read_segment(path: str) -> Segment:
+    """Decode and verify one segment file.
+
+    A missing file, a short or long one, a bad header or a checksum
+    mismatch all raise the same one-line
+    :class:`~repro.core.exceptions.HistoryFormatError`.
+    """
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except FileNotFoundError:
+        raise _corrupt_segment(path) from None
+    if len(data) < _HEADER.size + _CHECKSUM_BYTES:
+        raise _corrupt_segment(path)
+    body = memoryview(data)[:-_CHECKSUM_BYTES]
+    if blake2b(body, digest_size=_CHECKSUM_BYTES).digest() != data[-_CHECKSUM_BYTES:]:
+        raise _corrupt_segment(path)
+    magic, version, first_tid, count, blob_len, n_any, n_good, *counts = (
+        _HEADER.unpack_from(data)
+    )
+    n_digests = counts.pop()
+    if magic != SEGMENT_MAGIC or version != SEGMENT_VERSION:
+        raise _corrupt_segment(path)
+    sizes = [8 * count] * 3 + [count, blob_len] + [8 * n_any] * 3 + [8 * n_good] * 3
+    for n in counts:
+        sizes.extend([8 * n] * 3)
+    sizes.append(8 * n_digests)
+    if min(sizes) < 0 or _HEADER.size + sum(sizes) != len(body):
+        raise _corrupt_segment(path)
+    codes = "qqqB" + "s" + "qqq" * 2 + "Qqq" * len(LOG_NAMES) + "Q"
+    columns = []
+    offset = _HEADER.size
+    for code, size in zip(codes, sizes):
+        chunk = body[offset : offset + size]
+        offset += size
+        if code == "s":
+            columns.append(chunk.tobytes())
+            continue
+        column = array(code)
+        column.frombytes(chunk)
+        if _BIG_ENDIAN and code != "B":  # pragma: no cover - little-endian CI
+            column.byteswap()
+        columns.append(column)
+    segment = Segment()
+    segment.path = path
+    segment.first_tid = first_tid
+    segment.sid, segment.sidx, lengths, segment.flags, blob = columns[:5]
+    segment.wr_any = tuple(columns[5:8])
+    segment.wr_good = tuple(columns[8:11])
+    segment.logs = {
+        name: tuple(columns[11 + 3 * i : 14 + 3 * i])
+        for i, name in enumerate(LOG_NAMES)
+        if counts[i]
+    }
+    segment.digests = columns[-1]
+    if lengths.count(-1) == count:
+        segment.labels = [None] * count
+    else:
+        labels: List[Optional[str]] = []
+        at = 0
+        try:
+            for n in lengths:
+                if n < 0:
+                    labels.append(None)
+                else:
+                    labels.append(blob[at : at + n].decode("utf-8", "surrogatepass"))
+                    at += n
+        except UnicodeDecodeError:
+            raise _corrupt_segment(path) from None
+        if at != blob_len:
+            raise _corrupt_segment(path)
+        segment.labels = labels
+    return segment
 
 
 class SegmentStore:
     """Archival segments for retired history.
 
-    One pickle per retirement pass.  The store is itself picklable (it keeps
-    only the directory path and the manifest), so it rides inside checkpoints;
-    resuming from an older checkpoint simply overwrites the stale later
-    segments as the re-fold re-retires the same prefix.
+    One checksummed column file per retirement pass (:func:`encode_segment`).
+    The store is itself picklable (it keeps only the directory path and
+    the manifest), so it rides inside checkpoints; resuming from an older
+    checkpoint simply overwrites the stale later segments as the re-fold
+    re-retires the same prefix.
     """
 
     def __init__(self, directory: Optional[str] = None) -> None:
@@ -217,22 +402,27 @@ class SegmentStore:
             os.makedirs(self._dir, exist_ok=True)
         return self._dir
 
-    def write(self, payload: dict) -> str:
+    def write(self, *columns, **named) -> str:
+        """Write one pass; the arguments are :func:`encode_segment`'s."""
+        data = encode_segment(*columns, **named)
         directory = self._ensure_dir()
         name = f"segment-{len(self._manifest):06d}{_SEGMENT_SUFFIX}"
         path = os.path.join(directory, name)
         tmp = path + ".tmp"
         with open(tmp, "wb") as handle:
-            pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+            handle.write(data)
         os.replace(tmp, path)
         self._manifest.append(name)
         return path
 
-    def load_all(self) -> Iterator[dict]:
+    def load_all(self) -> Iterator[Segment]:
+        if self._manifest and self._dir is None:
+            raise HistoryFormatError(
+                "retirement segments have no directory (the checkpoint is "
+                "corrupt); re-run without --resume"
+            )
         for name in self._manifest:
-            assert self._dir is not None
-            with open(os.path.join(self._dir, name), "rb") as handle:
-                yield pickle.load(handle)
+            yield read_segment(os.path.join(self._dir, name))
 
     def cleanup(self) -> None:
         """Delete owned (temporary) segment directories; keep explicit ones."""
@@ -252,43 +442,50 @@ class SegmentStore:
 
 
 class RetiredState:
-    """Everything finalize needs from the segments, loaded once.
+    """Everything finalize needs from the segments, loaded once as columns.
 
-    ``records[sid]`` lists the retired transactions of session ``sid`` in
-    session order as lightweight stand-ins exposing the attributes the
-    finalize loops read off live records (``tid``/``committed``/``label``/
-    ``wr_first_any``/``wr_first_good``).  ``logs[name]`` concatenates the
-    spilled edge-log rows of every segment; the log's drain reduces them
-    together with the live rows, which restores the exact drain order of a
-    never-evicting log.  ``digests`` merges every evicted identity digest.
+    Retired transactions are the dense tid prefix ``[0, len(labels))``.
+    ``sessions[sid]`` lists the retired tids of session ``sid`` in session
+    order; ``flags`` (the segment row flags) and ``labels`` are indexed by
+    tid.  ``wr_any`` is the ``(readers, writers, kids)`` column triple of
+    every retired first-read-per-writer pair in reader order (each reader's
+    pairs in first-read order), and :meth:`wr_good` the same for the good
+    maps.  ``logs[name]`` concatenates the spilled edge-log rows of every
+    segment; the log's drain reduces them together with the live rows,
+    which restores the exact drain order of a never-evicting log.
+    ``digests`` merges every evicted identity digest.
     """
 
-    __slots__ = ("records", "logs", "digests")
+    __slots__ = ("sessions", "flags", "labels", "wr_any", "_own_good", "logs", "digests")
 
     def __init__(self, num_sessions: int) -> None:
-        self.records: List[List[RetiredRec]] = [[] for _ in range(num_sessions)]
+        self.sessions: List[array] = [array("q") for _ in range(num_sessions)]
+        self.flags = array("B")
+        self.labels: List[Optional[str]] = []
+        self.wr_any = (array("q"), array("q"), array("q"))
+        self._own_good: Dict[int, List[Tuple[int, int]]] = {}
         self.logs: Dict[str, EdgeLog] = {}
         self.digests: Set[int] = set()
 
-
-class RetiredRec:
-    """Stand-in for a retired transaction in the finalize loops."""
-
-    __slots__ = ("tid", "committed", "label", "wr_first_any", "wr_first_good")
-
-    def __init__(
-        self,
-        tid: int,
-        committed: bool,
-        label: object,
-        wr_first_any: Dict[int, int],
-        wr_first_good: Dict[int, int],
-    ) -> None:
-        self.tid = tid
-        self.committed = committed
-        self.label = label
-        self.wr_first_any = wr_first_any
-        self.wr_first_good = wr_first_good
+    def wr_good(self) -> Tuple[array, array, array]:
+        """The retired good-read pairs, laid out like ``wr_any``."""
+        own = self._own_good
+        if not own:
+            return self.wr_any
+        out = (array("q"), array("q"), array("q"))
+        previous = -1
+        for reader, writer, kid in zip(*self.wr_any):
+            pairs = own.get(reader)
+            if pairs is None:
+                pairs = ((writer, kid),)
+            elif reader == previous:
+                continue
+            previous = reader
+            for good_writer, good_kid in pairs:
+                out[0].append(reader)
+                out[1].append(good_writer)
+                out[2].append(good_kid)
+        return out
 
 
 def load_retired_state(store: SegmentStore, num_sessions: int) -> RetiredState:
@@ -297,35 +494,46 @@ def load_retired_state(store: SegmentStore, num_sessions: int) -> RetiredState:
     Raises :class:`RetiredAccessError` when the same write identity digest
     appears in more than one segment: the history re-registered a retired
     ``(key, value)`` pair, which the duplicate-write diagnostic could not see
-    while streaming.
+    while streaming.  A segment that does not continue the retired prefix
+    (wrong first tid, a session index out of order) is refused like a
+    corrupt one.
     """
     state = RetiredState(num_sessions)
-    wr_map: Dict[int, Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]] = {}
-    staged: List[List[Tuple[int, int, bool, object]]] = [
-        [] for _ in range(num_sessions)
-    ]
-    for payload in store.load_all():
-        for reader_tid, any_items, good_items in payload["wr"]:
-            wr_map[reader_tid] = (any_items, good_items)
-        for tid, sid, sidx, committed, label in payload["txns"]:
-            staged[sid].append((sidx, tid, committed, label))
-        for name, rows in payload["logs"].items():
-            state.logs.setdefault(name, EdgeLog()).load(rows)
-        for digest in payload["digests"]:
-            if digest in state.digests:
-                raise RetiredAccessError(
-                    "history writes a (key, value) identity that retirement "
-                    "already evicted; duplicate-write detection cannot see "
-                    "evicted writes mid-stream -- re-check without --retire "
-                    "(or with a larger --retire-lag) for an exact diagnostic"
-                )
-            state.digests.add(digest)
-    for sid, items in enumerate(staged):
-        items.sort(key=lambda item: item[0])
-        for sidx, tid, committed, label in items:
-            any_items, good_items = wr_map.get(tid, ((), ()))
-            state.records[sid].append(
-                RetiredRec(tid, committed, label, dict(any_items), dict(good_items))
+    sessions = state.sessions
+    own_good = state._own_good
+    digests = state.digests
+    for segment in store.load_all():
+        first = segment.first_tid
+        if first != len(state.labels):
+            raise _corrupt_segment(segment.path)
+        try:
+            for tid, sid, sidx in zip(range(first, first + len(segment.sid)), segment.sid, segment.sidx):
+                rows = sessions[sid]
+                if sidx != len(rows):
+                    raise _corrupt_segment(segment.path)
+                rows.append(tid)
+            if segment.flags.count(FLAG_COMMITTED | FLAG_OWN_GOOD):
+                for row, flag in enumerate(segment.flags):
+                    if flag & FLAG_OWN_GOOD:
+                        own_good[first + row] = []
+                for reader, writer, kid in zip(*segment.wr_good):
+                    own_good[reader].append((writer, kid))
+        except (IndexError, KeyError):
+            raise _corrupt_segment(segment.path) from None
+        for column, more in zip(state.wr_any, segment.wr_any):
+            column.extend(more)
+        state.flags.extend(segment.flags)
+        state.labels.extend(segment.labels)
+        for name, rows in segment.logs.items():
+            state.logs.setdefault(name, EdgeLog()).load(tuple(r.tobytes() for r in rows))
+        before = len(digests)
+        digests.update(segment.digests)
+        if len(digests) != before + len(segment.digests):
+            raise RetiredAccessError(
+                "history writes a (key, value) identity that retirement "
+                "already evicted; duplicate-write detection cannot see "
+                "evicted writes mid-stream -- re-check without --retire "
+                "(or with a larger --retire-lag) for an exact diagnostic"
             )
     return state
 

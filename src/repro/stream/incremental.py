@@ -58,6 +58,7 @@ first appear out of order.
 from __future__ import annotations
 
 import time
+from array import array
 from bisect import bisect_left, insort
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -66,6 +67,9 @@ from repro.core.commit import CommitRelation
 from repro.core.compiled.ir import Intern
 from repro.core.compiled.kernels import EdgeLog
 from repro.core.compiled.retire import (
+    FLAG_COMMITTED,
+    FLAG_OWN_GOOD,
+    LOG_NAMES,
     RetirementPolicy,
     RetireStats,
     SegmentStore,
@@ -835,6 +839,7 @@ class IncrementalChecker:
         base = self._txns_base
         if limit <= base:
             return
+        start = time.perf_counter()
         # Eligibility scan, strictly in tid order: the retired set is always
         # a prefix, so tids stay dense below the base.  A committed
         # transaction must sit at or below the global low-watermark of its
@@ -861,6 +866,7 @@ class IncrementalChecker:
             new_base += 1
         if new_base > base:
             self._retire_to(new_base)
+        self._retire_stats.seconds += time.perf_counter() - start
 
     def _retire_to(self, new_base: int) -> None:
         """Retire every transaction below ``new_base`` into one segment."""
@@ -870,20 +876,32 @@ class IncrementalChecker:
         retiring = txns[:count]
         stats = self._retire_stats
 
-        seg_txns: List[Tuple[int, int, int, bool, Optional[str]]] = []
-        seg_wr: List[Tuple[int, list, list]] = []
+        seg_sid = array("q")
+        seg_sidx = array("q")
+        seg_flags = array("B")
+        seg_labels: List[Optional[str]] = []
+        wr_any = (array("q"), array("q"), array("q"))
+        wr_good = (array("q"), array("q"), array("q"))
         per_session: Dict[int, int] = {}
         hb = self._hb
         for rec in retiring:
-            seg_txns.append((rec.tid, rec.sid, rec.sidx, rec.committed, rec.label))
-            if rec.committed and (rec.wr_first_any or rec.wr_first_good):
-                seg_wr.append(
-                    (
-                        rec.tid,
-                        list(rec.wr_first_any.items()),
-                        list(rec.wr_first_good.items()),
-                    )
-                )
+            seg_sid.append(rec.sid)
+            seg_sidx.append(rec.sidx)
+            seg_labels.append(rec.label)
+            flag = FLAG_COMMITTED if rec.committed else 0
+            if rec.committed:
+                any_items = list(rec.wr_first_any.items())
+                good_items = list(rec.wr_first_good.items())
+                rows = [(wr_any, any_items)]
+                if good_items != any_items:
+                    flag |= FLAG_OWN_GOOD
+                    rows.append((wr_good, good_items))
+                for columns, items in rows:
+                    for writer, kid in items:
+                        columns[0].append(rec.tid)
+                        columns[1].append(writer)
+                        columns[2].append(kid)
+            seg_flags.append(flag)
             per_session[rec.sid] = per_session.get(rec.sid, 0) + 1
             hb.pop(rec.tid, None)
         del txns[:count]
@@ -914,11 +932,8 @@ class IncrementalChecker:
         # absolute) and finalize reduces them together with the live rows.
         spilled_logs: Dict[str, Tuple[bytes, bytes, bytes]] = {}
         total_spilled = 0
-        for name, log in (
-            ("rc", self._rc_log),
-            ("ra", self._ra_log),
-            ("ra_so", self._ra_so_log),
-            ("cc", self._cc_log),
+        for name, log in zip(
+            LOG_NAMES, (self._rc_log, self._ra_log, self._ra_so_log, self._cc_log)
         ):
             payload = log.spill(new_base)
             if payload is not None:
@@ -950,12 +965,8 @@ class IncrementalChecker:
                             pointer[state] = ptr - removed if ptr > removed else 0
 
         self._segments.write(
-            {
-                "txns": seg_txns,
-                "wr": seg_wr,
-                "logs": spilled_logs,
-                "digests": digests,
-            }
+            base, seg_sid, seg_sidx, seg_flags, seg_labels, wr_any, wr_good,
+            spilled_logs, digests,
         )
 
         stats.retired_transactions += count
@@ -1182,24 +1193,44 @@ class IncrementalChecker:
 
     # -- finalize helpers --------------------------------------------------------
 
-    def _final_sessions(self):
-        """Per-session record sequences for the finalize loops.
+    def _final_rows(self, sid: int):
+        """``(tid, label, committed)`` of session ``sid``'s transactions.
 
-        Without retirement this is ``_by_session`` itself (zero overhead);
-        with retirement each session's retired stand-ins (reloaded from the
-        segments) are prepended, so the loops below see every transaction of
-        the history in session order exactly as a never-evicting run would.
+        Without retirement these are the resident records; with retirement
+        the session's retired prefix (reloaded from the segments) comes
+        first, so the loops below see every transaction of the history in
+        session order exactly as a never-evicting run would.
         """
         retired = self._retired_final
-        if retired is None:
-            return self._by_session
-        merged = []
-        for sid, records in enumerate(self._by_session):
-            front = retired.records[sid]
+        if retired is not None:
+            front = retired.sessions[sid]
             if len(front) != self._sess_base[sid]:  # pragma: no cover - defensive
                 raise AssertionError("segment store lost retired transactions")
-            merged.append(front + records)
-        return merged
+            flags = retired.flags
+            labels = retired.labels
+            for tid in front:
+                yield tid, labels[tid], flags[tid] & 1
+        for rec in self._by_session[sid]:
+            yield rec.tid, rec.label, rec.committed
+
+    def _final_wr(self, good: bool) -> Iterator[Tuple[int, int, int]]:
+        """``(reader, writer, kid)`` of every committed first-read-per-writer pair.
+
+        The retired pairs first, as one block in reader order, then the
+        resident records session by session; ``good`` selects the good-read
+        maps.  No packed wr edge occurs twice (a reader's pairs name
+        distinct writers), so the block order cannot change the frozen
+        relation or any first-wins label.
+        """
+        retired = self._retired_final
+        if retired is not None:
+            yield from zip(*(retired.wr_good() if good else retired.wr_any))
+        for records in self._by_session:
+            for rec in records:
+                if rec.committed:
+                    pairs = rec.wr_first_good if good else rec.wr_first_any
+                    for writer, kid in pairs.items():
+                        yield rec.tid, writer, kid
 
     def _spilled_run(self, name: str) -> Optional[EdgeLog]:
         """The segments' spilled rows of one edge log."""
@@ -1220,14 +1251,12 @@ class IncrementalChecker:
         committed_ids: List[int] = []
         so_edges: List[Tuple[int, int]] = []
         batch_tid = 0
-        for records in self._final_sessions():
+        for sid in range(len(self._by_session)):
             previous = -1
-            for rec in records:
-                mapping[rec.tid] = batch_tid
-                names[batch_tid] = (
-                    rec.label if rec.label is not None else f"t{batch_tid}"
-                )
-                if rec.committed:
+            for tid, label, committed in self._final_rows(sid):
+                mapping[tid] = batch_tid
+                names[batch_tid] = label if label is not None else f"t{batch_tid}"
+                if committed:
                     committed_ids.append(batch_tid)
                     if previous >= 0:
                         so_edges.append((previous, batch_tid))
@@ -1236,13 +1265,8 @@ class IncrementalChecker:
         return mapping, names, committed_ids, so_edges
 
     def _wr_any_edges(self, mapping: List[int]) -> Iterator[Tuple[int, int, int]]:
-        for records in self._final_sessions():
-            for rec in records:
-                if not rec.committed:
-                    continue
-                reader = mapping[rec.tid]
-                for writer, kid in rec.wr_first_any.items():
-                    yield (mapping[writer], reader, kid)
+        for reader, writer, kid in self._final_wr(good=False):
+            yield (mapping[writer], mapping[reader], kid)
 
     def _build_relation(
         self,
@@ -1268,24 +1292,18 @@ class IncrementalChecker:
         so_log: List[int] = []
         wr_log: List[int] = []
         wr_keys: List[int] = []
-        sessions = self._final_sessions()
-        for records in sessions:
+        for sid in range(len(self._by_session)):
             previous = -1
-            for rec in records:
-                if not rec.committed:
+            for tid, _label, committed in self._final_rows(sid):
+                if not committed:
                     continue
-                current = mapping[rec.tid]
+                current = mapping[tid]
                 if previous >= 0:
                     so_log.append((previous << EDGE_SHIFT) | current)
                 previous = current
-        for records in sessions:
-            for rec in records:
-                if not rec.committed:
-                    continue
-                reader = mapping[rec.tid]
-                for writer, kid in rec.wr_first_good.items():
-                    wr_log.append((mapping[writer] << EDGE_SHIFT) | reader)
-                    wr_keys.append(kid)
+        for reader, writer, kid in self._final_wr(good=True):
+            wr_log.append((mapping[writer] << EDGE_SHIFT) | mapping[reader])
+            wr_keys.append(kid)
         graph = freeze_packed(self._next_tid, (so_log, wr_log))
         labels = causality_labels(
             so_log, wr_log, wr_keys, key_names=self._key_table.values

@@ -373,12 +373,12 @@ class TestCrossVersionCheckpoints:
         checker.save_checkpoint(str(path))
         return path
 
-    def test_saved_checkpoints_are_v7(self, tmp_path):
+    def test_saved_checkpoints_are_v8(self, tmp_path):
         blob = self._checkpoint(tmp_path).read_bytes()
         assert blob.startswith(online.CHECKPOINT_MAGIC)
-        assert blob[len(online.CHECKPOINT_MAGIC)] == online.CHECKPOINT_VERSION == 7
+        assert blob[len(online.CHECKPOINT_MAGIC)] == online.CHECKPOINT_VERSION == 8
 
-    @pytest.mark.parametrize("version", [4, 5, 6])
+    @pytest.mark.parametrize("version", [4, 5, 6, 7])
     def test_older_versions_are_refused(self, tmp_path, capsys, version):
         path = self._checkpoint(tmp_path)
         blob = bytearray(path.read_bytes())
@@ -398,7 +398,7 @@ class TestCrossVersionCheckpoints:
 
     def _resume_matches_batch(self, tmp_path, monkeypatch, batch_ops, fallback,
                               retire, eager):
-        # RC, RA and CC at once: a mid-stream v7 checkpoint, resumed on
+        # RC, RA and CC at once: a mid-stream checkpoint, resumed on
         # either kernel path, with and without retirement spilling
         # edge-log rows into segments, reproduces the batch engine's
         # verdicts, witnesses and inferred-edge counts.  ``eager`` drops

@@ -11,18 +11,26 @@ import os
 import random
 import subprocess
 import sys
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.core import IsolationLevel
+from repro.core.compiled import kernels, online
 from repro.core.compiled.retire import (
+    FLAG_COMMITTED,
+    FLAG_OWN_GOOD,
     RetiredAccessError,
     RetirementPolicy,
     low_watermark,
+    read_segment,
     stable_digest,
 )
+from repro.core.exceptions import HistoryFormatError
+from repro.histories.formats import plume_text
 from repro.core.model import History, Transaction, read, write
 from repro.histories.generator import (
     INJECTABLE_ANOMALIES,
@@ -37,6 +45,8 @@ from repro.stream import (
     check_stream_file,
     load_checkpoint,
 )
+
+from test_resolve_kernel import fallback_modules, needs_numpy, vector_floor
 
 LEVELS = list(IsolationLevel)
 
@@ -252,6 +262,248 @@ class TestRetireParity:
             assert_identical(got_o, want)
 
 
+@contextmanager
+def compaction_floor(n):
+    """Compact runs and the registry and renumber values at ``n`` entries."""
+    saved = (online._RUN_COMPACT_MIN, online._VALUE_REMAP_MIN)
+    online._RUN_COMPACT_MIN = online._VALUE_REMAP_MIN = n
+    try:
+        yield
+    finally:
+        online._RUN_COMPACT_MIN, online._VALUE_REMAP_MIN = saved
+
+
+def kernel_path(fallback):
+    """The pure-Python twins, or numpy forced on even for tiny inputs."""
+    if fallback:
+        return fallback_modules()
+    if not kernels.HAVE_NUMPY:
+        pytest.skip("numpy is not installed")
+    return vector_floor(0)
+
+
+class TestCompactionPaths:
+    """Run compaction, value remap and mirror filtering keep refuse-or-identical.
+
+    The default floors (1024 entries) never fire on histories this small,
+    so the floors drop to 1 and 8 here.
+    """
+
+    @pytest.mark.parametrize("fallback", [False, True], ids=["numpy", "fallback"])
+    @pytest.mark.parametrize("floor", [1, 8])
+    @settings(
+        max_examples=12,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        seed=st.integers(0, 10_000),
+        sessions=st.integers(1, 5),
+        txns=st.integers(10, 120),
+        keys=st.integers(2, 15),
+        lag=st.integers(0, 64),
+        every=st.integers(1, 32),
+        mode=st.sampled_from(["serializable", "random_reads"]),
+    )
+    def test_retiring_run_is_identical_or_refuses_at_low_floors(
+        self, floor, fallback, seed, sessions, txns, keys, lag, every, mode
+    ):
+        history, order = generate_random_stream(
+            RandomHistoryConfig(
+                num_sessions=sessions,
+                num_transactions=txns,
+                num_keys=keys,
+                abort_probability=0.05,
+                mode=mode,
+                seed=seed,
+            )
+        )
+        with kernel_path(fallback):
+            want, _ = run_compiled(history, order)
+            policy = RetirementPolicy(lag=lag, every=every)
+            with compaction_floor(floor):
+                try:
+                    got_c, _ = run_compiled(history, order, retire=policy)
+                except RetiredAccessError:
+                    got_c = None
+                try:
+                    got_o, _ = run_object(history, order, retire=policy)
+                except RetiredAccessError:
+                    got_o = None
+        assert (got_c is None) == (got_o is None)
+        if got_c is not None:
+            assert_identical(got_c, want)
+            assert_identical(got_o, want)
+
+    @pytest.mark.parametrize("fallback", [False, True], ids=["numpy", "fallback"])
+    @pytest.mark.parametrize("floor", [1, 8])
+    def test_every_compaction_path_fires(self, monkeypatch, floor, fallback):
+        # The property above is only as strong as the paths it reaches:
+        # on this stream every deferred compaction really runs.
+        history, order = generate_random_stream(
+            RandomHistoryConfig(
+                num_sessions=6, num_transactions=600, num_keys=30,
+                abort_probability=0.05, seed=13,
+            )
+        )
+        calls = {"runs": 0, "registry": 0, "remap": 0, "probe": 0}
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                result = real(*args, **kwargs)
+                calls[name] += result is not False
+                return result
+            return wrapper
+
+        monkeypatch.setattr(kernels, "compact_runs", counting("runs", kernels.compact_runs))
+        for name, method in (("registry", "_compact_registry"), ("remap", "_remap_values")):
+            real = getattr(CompiledIncrementalChecker, method)
+            monkeypatch.setattr(CompiledIncrementalChecker, method, counting(name, real))
+        monkeypatch.setattr(
+            kernels.WriterProbeIndex, "drop_retired",
+            counting("probe", kernels.WriterProbeIndex.drop_retired),
+        )
+        with kernel_path(fallback):
+            want, _ = run_compiled(history, order)
+            with compaction_floor(floor):
+                got, checker = run_compiled(
+                    history, order, retire=RetirementPolicy(lag=64, every=16)
+                )
+        assert_identical(got, want)
+        assert calls["runs"] and calls["registry"] and calls["remap"]
+        assert bool(calls["probe"]) == (not fallback)
+        assert checker.live_stats()["remap_epochs"] > 0
+
+
+#: One session: T1's read of T0's overwritten x=1 is an intermediate read,
+#: so T1's any map witnesses T0 by x and its good map by y; T2 takes T0's
+#: pin so both retire.
+INTERMEDIATE_READ = History.from_sessions(
+    [
+        [
+            Transaction([write("x", 1), write("x", 2), write("y", 5)]),
+            Transaction([read("x", 1), read("y", 5)]),
+            Transaction([write("x", 3), write("y", 6)]),
+        ]
+        + [Transaction([read("x", 3)]) for _ in range(40)]
+    ]
+)
+
+
+class TestSegmentFiles:
+    def _retiring_run(self, segment_dir, history=None, order=None, policy=None):
+        if history is None:
+            history, order = generate_random_stream(
+                RandomHistoryConfig(
+                    num_sessions=6, num_transactions=600, num_keys=30,
+                    abort_probability=0.05, seed=13,
+                )
+            )
+            policy = RetirementPolicy(lag=64, every=16)
+        policy = RetirementPolicy(policy.lag, policy.every, str(segment_dir))
+        checker = CompiledIncrementalChecker(
+            num_sessions=history.num_sessions, retire=policy
+        )
+        for sid, txn in arrival_records(history, order):
+            checker.append_raw(sid, *raw_of(txn))
+        checker.finalize()
+        return sorted(segment_dir.iterdir())
+
+    @needs_numpy
+    def test_numpy_and_python_writers_write_identical_bytes(self, tmp_path):
+        order = list(range(len(INTERMEDIATE_READ.transactions)))
+        runs = {}
+        for name, ctx in (("numpy", vector_floor(0)), ("python", fallback_modules())):
+            with ctx:
+                runs[name] = self._retiring_run(tmp_path / name) + self._retiring_run(
+                    tmp_path / f"{name}-bad", INTERMEDIATE_READ, order, AGGRESSIVE
+                )
+        vectorized, scalar = runs["numpy"], runs["python"]
+        assert len(vectorized) > 3
+        assert [p.name for p in vectorized] == [p.name for p in scalar]
+        for a, b in zip(vectorized, scalar):
+            assert a.read_bytes() == b.read_bytes(), a
+        # Non-vacuous: the segments hold an explicit good map, derived any
+        # maps and spilled edge rows.
+        segments = [read_segment(str(p)) for p in vectorized]
+        assert any(FLAG_COMMITTED | FLAG_OWN_GOOD in seg.flags for seg in segments)
+        assert sum(len(seg.wr_any[0]) for seg in segments) > 100
+        assert any(seg.logs for seg in segments)
+
+    def test_own_good_map_survives_retirement(self):
+        order = list(range(len(INTERMEDIATE_READ.transactions)))
+        want, _ = run_compiled(INTERMEDIATE_READ, order)
+        for run in (run_compiled, run_object):
+            got, checker = run(INTERMEDIATE_READ, order, retire=AGGRESSIVE)
+            assert checker._retire_stats.retired_transactions >= 2
+            assert_identical(got, want)
+
+    def test_segment_round_trip(self, tmp_path):
+        paths = self._retiring_run(tmp_path / "segs")
+        first = 0
+        for path in paths:
+            segment = read_segment(str(path))
+            assert segment.first_tid == first
+            first += len(segment.sid)
+            assert len(segment.sidx) == len(segment.flags) == len(segment.labels)
+            assert all(label is not None for label in segment.labels)
+            assert list(segment.digests) == sorted(segment.digests)
+        assert first > 300
+
+    def test_cut_or_garbled_segment_is_one_line_diagnostic(self, tmp_path):
+        path = self._retiring_run(tmp_path / "segs")[0]
+        blob = path.read_bytes()
+        message = (
+            f"{path}: retirement segment is truncated or corrupt; "
+            "re-run without --resume"
+        )
+        for cut in (0, 9, 96, 200, len(blob) // 2, len(blob) - 1):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(HistoryFormatError) as excinfo:
+                read_segment(str(path))
+            assert str(excinfo.value) == message
+        flipped = bytearray(blob)
+        flipped[len(blob) // 3] ^= 0x40
+        path.write_bytes(bytes(flipped))
+        with pytest.raises(HistoryFormatError) as excinfo:
+            read_segment(str(path))
+        assert str(excinfo.value) == message
+        path.unlink()
+        with pytest.raises(HistoryFormatError) as excinfo:
+            read_segment(str(path))
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("damage", ["truncate", "delete"])
+    def test_resume_over_a_damaged_segment_exits_two(self, tmp_path, capsys, damage):
+        history, order = generate_random_stream(
+            RandomHistoryConfig(
+                num_sessions=6, num_transactions=600, num_keys=30,
+                abort_probability=0.05, seed=13,
+            )
+        )
+        source = tmp_path / "h.plume"
+        source.write_text(plume_text.dumps(history, order=order))
+        segs = tmp_path / "segs"
+        argv = [
+            "check", str(source), "-i", "cc", "--stream", "--retire",
+            "--retire-lag", "64", "--retire-every", "16",
+            "--checkpoint", str(tmp_path / "state.awd"), "--segment-dir", str(segs),
+        ]
+        assert main(argv) == 0
+        assert main(argv + ["--resume"]) == 0
+        victim = sorted(segs.iterdir())[0]
+        if damage == "truncate":
+            victim.write_bytes(victim.read_bytes()[:100])
+        else:
+            victim.unlink()
+        capsys.readouterr()
+        assert main(argv + ["--resume"]) == 2
+        assert capsys.readouterr().err == (
+            f"awdit: error: {victim}: retirement segment is truncated or "
+            "corrupt; re-run without --resume\n"
+        )
+
+
 class TestRetireRefusal:
     def test_read_of_evicted_write_refuses(self):
         # W(x,1) is superseded by W(x,2), loses its latest-writer pin,
@@ -332,6 +584,22 @@ class TestRetireMemoryBounded:
         bound = policy.lag + policy.every + 40 + 4 * history.num_sessions
         assert peak_resident <= bound
         assert checker._retire_stats.retired_transactions >= 2000 - bound
+
+    def test_retire_seconds_is_reported(self, capsys, tmp_path):
+        history, order = generate_random_stream(
+            RandomHistoryConfig(num_sessions=4, num_transactions=400, num_keys=30, seed=3)
+        )
+        _, checker = run_compiled(history, order, retire=RetirementPolicy(lag=32, every=16))
+        stats = checker.live_stats()
+        assert stats["retire_passes"] > 0
+        assert isinstance(stats["retire_seconds"], float)
+        assert stats["retire_seconds"] >= 0.0
+        _, idle = run_compiled(history, order)
+        assert idle.live_stats()["retire_seconds"] == 0.0
+        source = tmp_path / "h.plume"
+        source.write_text(plume_text.dumps(history, order=order))
+        assert main(["stats", str(source), "--stream", "--retire"]) == 0
+        assert "time in retire passes" in capsys.readouterr().out
 
     def test_non_retiring_checker_keeps_everything(self):
         history, order = generate_random_stream(
