@@ -1417,7 +1417,7 @@ class CompiledIncrementalChecker:
 
     # -- live-state accounting --------------------------------------------------
 
-    def live_stats(self) -> Dict[str, int]:
+    def live_stats(self) -> Dict[str, float]:
         """Peak live-state footprint of the online core, component by component.
 
         ``resident_transactions`` is the number of transaction-level
@@ -1425,7 +1425,8 @@ class CompiledIncrementalChecker:
         and retirement evicts summaries past the watermark); the ``peak_*``
         entries are high-water marks over the whole run, and the
         ``retire*``/``remap_epochs`` counters describe the retirement layer
-        (all zero when ``--retire`` is off).
+        (all zero when ``--retire`` is off; ``retire_seconds`` is the one
+        float, wall seconds inside retirement passes).
         """
         stats = {
             "transactions": self._next_tid,
