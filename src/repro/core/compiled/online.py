@@ -404,10 +404,11 @@ class CompiledIncrementalChecker:
         self._join_vectorized = 0
         self._join_scalar = 0
 
-        #: Derived kernel caches (never pickled, rebuilt after restore or
-        #: retirement): the sorted flat mirror of ``_writes`` behind
-        #: ``kernels.resolve_reads``, and the incrementally sorted CC
-        #: writer-registry view behind the probe flush.
+        #: Derived kernel caches (never pickled, rebuilt after restore;
+        #: retirement filters them in place): the sorted flat mirror of
+        #: ``_writes`` behind ``kernels.resolve_reads``, and the
+        #: incrementally sorted CC writer-registry view behind the probe
+        #: flush.
         self._writes_index = _kernels.WritesIndex()
         self._wb_probe = _kernels.WriterProbeIndex()
         #: Read-resolution tallies: reads bound on the fast path (no
