@@ -13,7 +13,7 @@ improvement -- the exact failure mode that would reappear if a kernel
 silently fell back to the pure-Python path (the guard also fails
 outright when numpy is importable but the batch check reports a
 fallback saturation kernel, the stream reports a fallback classify
-kernel, or a synthetic 64-session clock join above the
+kernel, or a synthetic 64-session or 128-session clock join above the
 ``_MIN_JOIN_CELLS`` cutoff does not take the vectorized path).  The
 committed baselines are first rescaled by the
 machine-speed ratio of the :mod:`_calibration` kernel (its runtime on
@@ -207,33 +207,38 @@ def main() -> int:
         # The 8-session guard streams legitimately stay on the scalar
         # clock join (below _MIN_JOIN_CELLS), so the vectorized path is
         # tripwired directly: a synthetic 64-session join of 64 writer
-        # rows (4096 cells, above the cutoff) must report vectorized.
+        # rows (4096 cells) and a 128-session join of one writer row
+        # (128 cells, the common stream-k128 join) must both report
+        # vectorized and match the fallback.
         from array import array
 
-        stride = 64
-        hb_data = array("q", [(i * 7 + s * 3) % 97 - 1 for i in range(64) for s in range(stride)])
-        sc_data = array("q", [(s * 5) % 89 - 1 for s in range(stride)])
-        rows = list(range(64))
-        wsids = [i % stride for i in range(64)]
-        wsidxs = [(i * 11) % 103 for i in range(64)]
-        joined, vectorized = kernels.join_clocks(
-            hb_data, stride, sc_data, 0, rows, wsids, wsidxs
-        )
-        expected = kernels._join_clocks_fallback(
-            hb_data, stride, array("q", sc_data), 0, rows, wsids, wsidxs
-        )
-        if not vectorized:
-            print(
-                "perf-guard: numpy is importable but a 4096-cell clock "
-                "join took the fallback path -- REGRESSION"
+        for stride, nrows in ((64, 64), (128, 1)):
+            hb_data = array(
+                "q", [(i * 7 + s * 3) % 97 - 1 for i in range(nrows) for s in range(stride)]
             )
-            failed = True
-        if list(joined) != list(expected):
-            print(
-                "perf-guard: vectorized clock join disagrees with the "
-                "fallback on the synthetic 64-session join -- REGRESSION"
+            sc_data = array("q", [(s * 5) % 89 - 1 for s in range(stride)])
+            rows = list(range(nrows))
+            wsids = [i % stride for i in range(nrows)]
+            wsidxs = [(i * 11) % 103 for i in range(nrows)]
+            joined, vectorized = kernels.join_clocks(
+                hb_data, stride, sc_data, 0, rows, wsids, wsidxs
             )
-            failed = True
+            expected = kernels._join_clocks_fallback(
+                hb_data, stride, array("q", sc_data), 0, rows, wsids, wsidxs
+            )
+            cells = stride * nrows
+            if not vectorized:
+                print(
+                    f"perf-guard: numpy is importable but a {cells}-cell clock "
+                    "join took the fallback path -- REGRESSION"
+                )
+                failed = True
+            if list(joined) != list(expected):
+                print(
+                    "perf-guard: vectorized clock join disagrees with the "
+                    f"fallback on the synthetic {stride}-session join -- REGRESSION"
+                )
+                failed = True
     for name, current, committed in (
         ("compiled batch CC", batch_seconds, batch_baseline),
         ("compiled batch CC saturation phase", saturation_seconds, saturation_baseline),

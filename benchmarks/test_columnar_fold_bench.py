@@ -23,10 +23,12 @@ cancels out):
   records whatever it is;
 * ``join_clocks`` in isolation on a wide (64-session) synthetic join,
   vectorized vs its own fallback.  The fig9 stream itself runs the
-  scalar path on purpose (8 sessions x 64 writer rows is below the
-  ``_MIN_JOIN_CELLS`` cutoff), so the stream's ``join_kernel`` stat
-  says ``fallback`` without that being a regression -- the micro bench
-  plus the ``perf_guard`` tripwire cover the vectorized path;
+  scalar path on purpose (its 8-session joins of up to 7 writer rows
+  stay below the 64-cell ``_MIN_JOIN_CELLS`` cutoff), so the stream's
+  ``join_kernel`` stat says ``fallback`` without that being a
+  regression -- the micro bench plus the ``perf_guard`` tripwire (which
+  also joins one 128-session row, the common ``stream-k128`` join) cover
+  the vectorized path;
 * the streaming-phase peak RSS (VmHWM, subprocess probe identical to
   BENCH_8's) with retirement on, gated no worse than BENCH_8's retiring
   baseline -- columnar state must not trade speed for memory;

@@ -1006,11 +1006,14 @@ def retired_wr_columns(base: int, flags, wany, wgood, gr):
 # -- online columnar fold state (clock join + park queue) ----------------------
 
 #: Below this many joined cells (writer rows x clock stride) the numpy view
-#: setup costs more than the interpreted max loop; both paths are
-#: bit-identical, so the cutoff is pure tuning (small-session histories --
-#: the fig9 shape -- stay scalar on purpose, which the ``join_kernel`` stat
-#: reports as ``fallback``/``mixed`` without that being a regression).
-_MIN_JOIN_CELLS = 1024
+#: setup costs more than the interpreted max loop.  Measured: a one-writer
+#: join at stride 128 takes ~5 us in numpy against ~20 us interpreted,
+#: while at stride 8 up to four writer rows (32 cells) the loop is as fast
+#: or faster.  Both paths are bit-identical, so the cutoff is pure tuning:
+#: the 8-session streams (fig9, ``stream-retire``) stay scalar on purpose,
+#: which the ``join_kernel`` stat reports as ``fallback``/``mixed`` without
+#: that being a regression.
+_MIN_JOIN_CELLS = 64
 
 
 def _join_clocks_fallback(hb_data, stride, sc_data, soff, rows, wsids, wsidxs):
@@ -1039,13 +1042,15 @@ def join_clocks(hb_data, stride, sc_data, soff, rows, wsids, wsidxs):
     where ``row`` is a fresh ``array('q')`` of the joined clock.
 
     The join is a pure elementwise maximum -- the base clock, every
-    writer's full row, and a scatter-max of each writer's own session
-    index -- so the two implementations are bit-identical by construction
-    (hypothesis-pinned in ``tests/test_columnar_fold.py``); the caller
-    applies the same-session and dominated-writer pre-filters identically
-    on both paths.  Vector-clock transitivity makes the commuted order
-    safe: every installed hb entry carries that transaction's full causal
-    past, so joining a dominated or repeated writer is a value-level no-op.
+    writer's full row, and each writer's own session index -- so the two
+    implementations are bit-identical by construction (hypothesis-pinned in
+    ``tests/test_columnar_fold.py``); the caller applies the same-session
+    and dominated-writer pre-filters identically on both paths.  The numpy
+    path maxes the ``stride``-wide rows and leaves the per-writer bumps --
+    one cell each -- to a scalar loop on the joined row.  Vector-clock
+    transitivity makes the commuted order safe: every installed hb entry
+    carries that transaction's full causal past, so joining a dominated or
+    repeated writer is a value-level no-op.
     """
     if _np is None or len(rows) * stride < _MIN_JOIN_CELLS:
         return (
@@ -1054,16 +1059,16 @@ def join_clocks(hb_data, stride, sc_data, soff, rows, wsids, wsidxs):
         )
     np = _np
     hb_view = np.frombuffer(hb_data, dtype=np.int64).reshape(-1, stride)
-    out = hb_view[np.asarray(rows, dtype=np.int64)].max(axis=0)
     base = np.frombuffer(sc_data, dtype=np.int64)[soff : soff + stride]
-    np.maximum(out, base, out=out)
-    np.maximum.at(
-        out,
-        np.asarray(wsids, dtype=np.int64),
-        np.asarray(wsidxs, dtype=np.int64),
-    )
-    row = array("q")
-    row.frombytes(out.tobytes())
+    # Row by row: ~1.5 us a writer row, against ~10 us of fixed cost for a
+    # fancy-index gather and axis reduction (joins rarely exceed 8 rows).
+    out = np.maximum(hb_view[rows[0]], base)
+    for wj in rows[1:]:
+        np.maximum(out, hb_view[wj], out=out)
+    row = array("q", out.tobytes())
+    for i, wsid in enumerate(wsids):
+        if wsidxs[i] > row[wsid]:
+            row[wsid] = wsidxs[i]
     return row, True
 
 
@@ -2203,35 +2208,95 @@ def _resolve_reads_fallback(
     return out
 
 
+#: Backward steps a probe takes inside its bucket before the probes still
+#: above their bound finish with a binary search.  On the ledger streams
+#: no probe gets that far: on ``stream-k128`` (buckets of ~1.25 rows, at
+#: most 8) 55% of the 2.3M probes step at all, and on the arrival-order
+#: ``stream-retire`` input, whose bounds sit at the buckets' ends, 0.1-7%.
+_PROBE_SCAN_STEPS = 8
+
+
 class WriterProbeIndex:
     """Incrementally sorted view of the CC writer registry for probe flushes.
 
-    The vectorized probe flush used to re-``argsort`` the *entire*
-    append-order writer registry every batch -- the dominant cost of the
-    small-``batch_ops`` regime (the ``BENCH_7`` 64-ops cliff).  This cache
-    keeps the registry's ``bucket * _SIDX_SPAN + sidx`` composite sorted
-    incrementally: a ``main`` sorted run with precomputed per-bucket starts,
-    plus a small sorted ``tail`` of rows appended since the last merge.  A
-    probe takes the later of the two runs' answers; (bucket, sidx) pairs are
-    unique (one registration per (transaction, key)), so "later" is a plain
-    composite comparison.
+    Keeps the registry's ``bucket * _SIDX_SPAN + sidx`` composite sorted
+    incrementally: a ``main`` sorted run, plus a small sorted ``tail`` of
+    rows appended since the last merge (merged in amortized, when it
+    outgrows a quarter of main).  A probe asks for the latest writer of
+    its bucket at or below a clock bound.  On main it is answered inside
+    the bucket: from the bucket's last row, step back while the row's
+    ``sidx`` is above the bound -- a couple of gathers per probe instead
+    of a binary search over the whole registry.  The per-bucket row
+    offsets and the ``sidx`` column are rebuilt only when main changes.
+    The tail is searched with ``searchsorted`` and the later of the two
+    runs' answers wins; (bucket, sidx) pairs are unique (one registration
+    per (transaction, key)), so "later" is a plain composite comparison.
+    A flush with more probes than index rows first merges the tail into
+    main, so the big flushes take the bucket-local path alone.
 
     Derived state, like :class:`WritesIndex`: never pickled, and
     :meth:`drop_retired` removes the rows a retirement compaction drops
     from the registry.
     """
 
-    __slots__ = ("_synced", "main_comp", "main_tid", "bucket_start", "tail_comp", "tail_tid")
+    __slots__ = (
+        "_synced",
+        "_num_buckets",
+        "main_comp",
+        "main_tid",
+        "main_sidx",
+        "bucket_bounds",
+        "tail_comp",
+        "tail_tid",
+    )
 
     def __init__(self) -> None:
         self._synced = 0
+        self._num_buckets = 0
         if _np is not None:
             empty = _np.zeros(0, dtype=_np.int64)
             self.main_comp = empty
             self.main_tid = empty
             self.tail_comp = empty
             self.tail_tid = empty
-            self.bucket_start = None
+        self.main_sidx = None
+        self.bucket_bounds = None
+
+    def _merge_tail(self) -> None:
+        np = _np
+        comp = np.concatenate((self.main_comp, self.tail_comp))
+        tid = np.concatenate((self.main_tid, self.tail_tid))
+        order = np.argsort(comp)
+        self.main_comp = comp[order]
+        self.main_tid = tid[order]
+        self.tail_comp = self.tail_comp[:0]
+        self.tail_tid = self.tail_tid[:0]
+        self.bucket_bounds = None
+
+    def _bounds(self):
+        """Bucket ``b``'s rows are ``main[bounds[b]:bounds[b + 1]]``."""
+        np = _np
+        bounds = self.bucket_bounds
+        if bounds is None:
+            bounds = np.searchsorted(
+                self.main_comp,
+                np.arange(self._num_buckets + 1, dtype=np.int64) * _SIDX_SPAN,
+            )
+            self.main_sidx = self.main_comp & (_SIDX_SPAN - 1)
+        elif bounds.shape[0] <= self._num_buckets:
+            # Buckets allocated since main last changed have no main rows.
+            bounds = np.concatenate(
+                (
+                    bounds,
+                    np.full(
+                        self._num_buckets + 1 - bounds.shape[0],
+                        self.main_comp.shape[0],
+                        dtype=np.int64,
+                    ),
+                )
+            )
+        self.bucket_bounds = bounds
+        return bounds
 
     def drop_retired(self, new_base: int, registry_len: int) -> None:
         """Mirror :func:`compact_writer_registry` at ``new_base`` in place.
@@ -2247,13 +2312,7 @@ class WriterProbeIndex:
             return
         np = _np
         if self.tail_comp.shape[0]:
-            comp = np.concatenate((self.main_comp, self.tail_comp))
-            tid = np.concatenate((self.main_tid, self.tail_tid))
-            order = np.argsort(comp)
-            self.main_comp = comp[order]
-            self.main_tid = tid[order]
-            self.tail_comp = self.tail_comp[:0]
-            self.tail_tid = self.tail_tid[:0]
+            self._merge_tail()
         comp = self.main_comp
         old = self.main_tid < new_base
         drop = np.zeros(comp.shape[0], dtype=bool)
@@ -2261,88 +2320,90 @@ class WriterProbeIndex:
         keep = ~drop
         self.main_comp = comp[keep]
         self.main_tid = self.main_tid[keep]
-        self.bucket_start = None
+        self.bucket_bounds = None
         self._synced = registry_len
 
     def sync(self, wb_bucket, wb_sidx, wb_tid, num_buckets: int) -> None:
-        """Fold rows appended since the last sync into the sorted runs.
+        """Fold rows appended since the last sync into the sorted tail.
 
         Views of the live ``array('q')`` rows are copied immediately -- an
-        exported buffer would block the fold's appends -- and the per-bucket
-        main starts only extend for newly allocated buckets (which cannot
-        have main rows: main froze before they existed).
+        exported buffer would block the fold's appends.
         """
         np = _np
+        self._num_buckets = num_buckets
         total = len(wb_bucket)
         n = self._synced
-        if total > n:
-            new_comp = (
-                np.frombuffer(wb_bucket, dtype=np.int64)[n:] * _SIDX_SPAN
-                + np.frombuffer(wb_sidx, dtype=np.int64)[n:]
-            )
-            new_tid = np.frombuffer(wb_tid, dtype=np.int64)[n:].copy()
-            if self.tail_comp.shape[0]:
-                comp = np.concatenate((self.tail_comp, new_comp))
-                tid = np.concatenate((self.tail_tid, new_tid))
-            else:
-                comp, tid = new_comp, new_tid
-            order = np.argsort(comp)
-            self.tail_comp = comp[order]
-            self.tail_tid = tid[order]
-            self._synced = total
-            if self.tail_comp.shape[0] > max(
-                _TAIL_MERGE_MIN, self.main_comp.shape[0] >> 2
-            ):
-                comp = np.concatenate((self.main_comp, self.tail_comp))
-                tid = np.concatenate((self.main_tid, self.tail_tid))
-                order = np.argsort(comp)
-                self.main_comp = comp[order]
-                self.main_tid = tid[order]
-                empty = np.zeros(0, dtype=np.int64)
-                self.tail_comp = empty
-                self.tail_tid = empty
-                self.bucket_start = None
-        bs = self.bucket_start
-        if bs is None:
-            self.bucket_start = np.searchsorted(
-                self.main_comp,
-                np.arange(num_buckets, dtype=np.int64) * _SIDX_SPAN,
-            )
-        elif bs.shape[0] < num_buckets:
-            self.bucket_start = np.concatenate(
-                (
-                    bs,
-                    np.full(
-                        num_buckets - bs.shape[0],
-                        self.main_comp.shape[0],
-                        dtype=np.int64,
-                    ),
-                )
-            )
+        if total <= n:
+            return
+        new_comp = (
+            np.frombuffer(wb_bucket, dtype=np.int64)[n:] * _SIDX_SPAN
+            + np.frombuffer(wb_sidx, dtype=np.int64)[n:]
+        )
+        new_tid = np.frombuffer(wb_tid, dtype=np.int64)[n:].copy()
+        if self.tail_comp.shape[0]:
+            comp = np.concatenate((self.tail_comp, new_comp))
+            tid = np.concatenate((self.tail_tid, new_tid))
+        else:
+            comp, tid = new_comp, new_tid
+        order = np.argsort(comp)
+        self.tail_comp = comp[order]
+        self.tail_tid = tid[order]
+        self._synced = total
+        if self.tail_comp.shape[0] > max(_TAIL_MERGE_MIN, self.main_comp.shape[0] >> 2):
+            self._merge_tail()
 
     def probe(self, probe_bucket, bound):
-        """``(has, t2)`` arrays: latest registered writer per (bucket, bound)."""
+        """``(has, t2)`` arrays: latest registered writer per (bucket, bound).
+
+        ``t2`` is meaningful only where ``has`` is true.
+        """
         np = _np
-        key = probe_bucket * _SIDX_SPAN + bound
-        mc = self.main_comp
-        wm = np.searchsorted(mc, key, side="right")
-        has_m = wm > self.bucket_start[probe_bucket]
-        im = np.maximum(wm - 1, 0)
-        t2 = self.main_tid[im] if mc.shape[0] else np.zeros(key.shape[0], dtype=np.int64)
+        n = probe_bucket.shape[0]
         tc = self.tail_comp
+        if tc.shape[0] and n > self.main_comp.shape[0] + tc.shape[0]:
+            self._merge_tail()
+            tc = self.tail_comp
+        bounds = self._bounds()
+        start = bounds[probe_bucket]
+        pos = bounds[probe_bucket + 1] - 1
+        sidx = self.main_sidx
+        if sidx.shape[0]:
+            # An empty bucket's pos is below its start (a -1 pos wraps to a
+            # harmless gather); only probes still above their bound step on.
+            live = np.flatnonzero((pos >= start) & (sidx[pos] > bound))
+            for _ in range(_PROBE_SCAN_STEPS):
+                if not live.shape[0]:
+                    break
+                at = pos[live] - 1
+                pos[live] = at
+                keep = at >= start[live]
+                keep &= sidx[at] > bound[live]
+                live = live[keep]
+            if live.shape[0]:
+                pos[live] = (
+                    np.searchsorted(
+                        self.main_comp,
+                        probe_bucket[live] * _SIDX_SPAN + bound[live],
+                        side="right",
+                    )
+                    - 1
+                )
+            has = pos >= start
+            t2 = self.main_tid[pos]
+        else:
+            has = np.zeros(n, dtype=bool)
+            t2 = np.zeros(n, dtype=np.int64)
         if tc.shape[0]:
+            key = probe_bucket * _SIDX_SPAN + bound
             wt = np.searchsorted(tc, key, side="right")
-            ts = np.searchsorted(tc, probe_bucket * _SIDX_SPAN)
-            has_t = wt > ts
+            has_t = wt > np.searchsorted(tc, probe_bucket * _SIDX_SPAN)
             it = np.maximum(wt - 1, 0)
-            if mc.shape[0]:
-                comp_m = mc[im]
-                use_t = has_t & (~has_m | (tc[it] > comp_m))
-            else:
-                use_t = has_t
+            use_t = has_t
+            if sidx.shape[0]:
+                use_t = has_t & (~has | (tc[it] > self.main_comp[pos]))
             t2 = np.where(use_t, self.tail_tid[it], t2)
-            return has_m | has_t, t2
-        return has_m, t2
+            has = has | has_t
+        return has, t2
 
 
 # -- batch unique-writes resolution (IR build) ---------------------------------

@@ -219,6 +219,10 @@ class CompiledIncrementalChecker:
     (``session, label, committed, (is_write, key, value) ops``).
     """
 
+    #: What a failed :meth:`finalize` raised; every later call raises it
+    #: again.  A class default, so checkpoints carry no extra field.
+    _refusal: Optional[Exception] = None
+
     def __init__(
         self,
         levels: Optional[Sequence[IsolationLevel]] = None,
@@ -382,7 +386,7 @@ class CompiledIncrementalChecker:
         self._cc_waiters: Dict[int, List[int]] = {}
         #: Append-order mirror of every writer registration -- (bucket id,
         #: session index, tid) rows the vectorized probe flush sorts into a
-        #: searchsorted-able composite (see ``_flush_cc_probes``); part of
+        #: per-bucket composite (see ``_flush_cc_probes``); part of
         #: the checkpoint format (``CHECKPOINT_VERSION`` 4).
         self._wb_bucket = array("q")
         self._wb_sidx = array("q")
@@ -398,9 +402,10 @@ class CompiledIncrementalChecker:
         self._flush_scalar = 0
         #: Clock-join tallies for ``kernels.join_clocks``, surfaced as the
         #: ``join_kernel`` stat.  "fallback"/"mixed" is *normal* on small
-        #: session counts: joins below ``kernels._MIN_JOIN_CELLS`` cells run
-        #: the scalar path on purpose because numpy dispatch would cost more
-        #: than it saves there.
+        #: session counts: joins below ``kernels._MIN_JOIN_CELLS`` (64)
+        #: cells -- an 8-session join of up to 7 writers -- run the scalar
+        #: path on purpose because numpy dispatch would cost more than it
+        #: saves there.  At 128 sessions every join vectorizes.
         self._join_vectorized = 0
         self._join_scalar = 0
 
@@ -1238,10 +1243,30 @@ class CompiledIncrementalChecker:
         Identical contract to ``IncrementalChecker.finalize``: unresolved
         reads become thin-air violations, the frontiers drain, and the
         edge logs reduce and replay in the batch algorithms' order.
-        Idempotent.
+        Idempotent.  Owned (temporary) segment directories are deleted
+        whether finalize returns or raises -- a refusal such as
+        ``RetiredAccessError`` included -- and a refused checker raises the
+        same refusal again on every later call.
         """
         if self._results is not None:
             return self._results
+        if self._refusal is not None:
+            raise self._refusal
+        try:
+            self._results = self._finalize()
+        except Exception as exc:
+            # The segments it needed may be gone now: never answer later.
+            self._refusal = exc
+            raise
+        finally:
+            if self._segments is not None:
+                # Owned (temporary) segment directories are deleted; an
+                # explicit --segment-dir keeps its segments as the user's
+                # archive.
+                self._segments.cleanup()
+        return self._results
+
+    def _finalize(self) -> Dict[IsolationLevel, CheckResult]:
         start = time.perf_counter()
 
         key_names = self._key_table.values
@@ -1406,14 +1431,9 @@ class CompiledIncrementalChecker:
                 and v not in self._live
             )
         self._retired_final = None
-        if self._segments is not None:
-            # Owned (temporary) segment directories are deleted; an explicit
-            # --segment-dir keeps its segments as the user's archive.
-            self._segments.cleanup()
         self._elapsed += time.perf_counter() - start
         for result in results.values():
             result.elapsed_seconds = self._elapsed
-        self._results = results
         return results
 
     # -- live-state accounting --------------------------------------------------
@@ -2597,12 +2617,15 @@ class CompiledIncrementalChecker:
         bound -- is stateless, so the vectorized path keeps the append-order
         writer registry incrementally sorted as a per-bucket
         ``bucket * 2^32 + sidx`` composite (:class:`kernels.WriterProbeIndex`;
-        only rows appended since the last flush are sorted per flush) and
-        answers every (read, writer-session) probe of the batch with one
-        ``searchsorted`` per run, then appends the emitted rows to the edge
-        log as columns.  The scalar rows are reproduced exactly: the attempt
-        counter advances only per *emitted* attempt, and deferral can only
-        add non-emitting probes (any writer at or below a bound registered
+        only rows appended since the last flush are sorted per flush).  It
+        expands every (read, writer-session) probe of the batch -- one
+        repeat per per-read column, clock bounds gathered straight from the
+        hb matrix -- and answers them all at once, each probe by a short
+        backward scan inside its own bucket (~1.25 rows on average on
+        ``stream-k128``), then appends the emitted rows to the edge log as
+        columns.  The scalar rows are reproduced exactly: the attempt counter
+        advances only per *emitted* attempt, and deferral can only add
+        non-emitting probes (any writer at or below a bound registered
         before the clock join that produced the bound).  Falls back to the
         scalar pointer loop when numpy is off, the batch is small, or the
         bucket count outgrows the probe composite; both paths append the
@@ -2646,21 +2669,14 @@ class CompiledIncrementalChecker:
             self._wb_bucket, self._wb_sidx, self._wb_tid, self._num_buckets
         )
 
-        # Gather the batch: one clock row per pending transaction, one row
-        # per good read, and a CSR of the flush-time slot lists of every
-        # distinct key probed.  Slots that appeared after a transaction's
-        # clock join hold only writers above its bounds (registration is
-        # arrival-ordered), so sharing the flush-time snapshot emits the
-        # same attempts the per-transaction loop would have.
-        k = len(self._by_session)
+        # Gather the batch: one row per good read, and a CSR of the
+        # flush-time slot lists of every distinct key probed.  Slots that
+        # appeared after a transaction's clock join hold only writers above
+        # its bounds (registration is arrival-ordered), so sharing the
+        # flush-time snapshot emits the same attempts the per-transaction
+        # loop would have.
         nrec = len(pending)
-        stride = self._clock_stride
-        # One fancy-index gather replaces the per-transaction row copies:
-        # clock rows are -1-padded past each session's horizon, so the
-        # :k column slice reproduces the old np.full(-1) fill exactly.
-        hb_view = np.frombuffer(self._hb_data, dtype=np.int64).reshape(-1, stride)
         js = np.asarray(js_list, dtype=np.int64)
-        clock_mat = hb_view[js, :k]
         # Edge-log ranks, one per pending transaction.
         sid_a = np.frombuffer(self._t_sid, dtype=np.int64)[js]
         sidx_a = np.frombuffer(self._t_sidx, dtype=np.int64)[js]
@@ -2699,41 +2715,41 @@ class CompiledIncrementalChecker:
         total_probes = int(nslots.sum())
         if total_probes == 0:
             return
-        slot_bucket_a = np.asarray(slot_bucket, dtype=np.int64)
-        slot_sid_a = np.asarray(slot_sid, dtype=np.int64)
 
         # Expand (read x slot) probe pairs and answer them all at once.
-        probe_read = np.repeat(
-            np.arange(read_rec_a.shape[0], dtype=np.int64), nslots
+        # Every per-probe column is one repeat of a per-read column plus at
+        # most one gather from the (small) slot lists.  The clock bound is
+        # read straight from the flat hb matrix: rows are -1-padded past
+        # each session's horizon and every slot's session is registered, so
+        # the stride-wide rows need no column slice.
+        probe_read = np.repeat(np.arange(read_rec_a.shape[0], dtype=np.int64), nslots)
+        probe_slot = np.repeat(starts - (np.cumsum(nslots) - nslots), nslots)
+        probe_slot += np.arange(total_probes, dtype=np.int64)
+        cell = np.repeat(js[read_rec_a] * self._clock_stride, nslots)
+        cell += np.asarray(slot_sid, dtype=np.int64).take(probe_slot)
+        bound = np.frombuffer(self._hb_data, dtype=np.int64).take(cell)
+        has, t2 = probe_index.probe(
+            np.asarray(slot_bucket, dtype=np.int64).take(probe_slot), bound
         )
-        base = np.cumsum(nslots) - nslots
-        probe_slot = (
-            np.arange(total_probes, dtype=np.int64)
-            - base[probe_read]
-            + starts[probe_read]
-        )
-        probe_rec = read_rec_a[probe_read]
-        probe_bucket = slot_bucket_a[probe_slot]
-        bound = clock_mat[probe_rec, slot_sid_a[probe_slot]]
-        has, t2 = probe_index.probe(probe_bucket, bound)
-        t1_probe = read_t1_a[probe_read]
-        emit = has & (t2 != t1_probe)
-        if not emit.any():
+        has &= t2 != read_t1_a.take(probe_read)
+        emitted = np.flatnonzero(has)
+        if not emitted.shape[0]:
             return
 
         # Emission rows: the attempt advances per emitted probe within each
         # transaction (probe order is read order is pending order, so the
         # emitted rec indices are non-decreasing and bincount gives each
         # transaction's attempt base).
-        erec = probe_rec[emit]
+        eread = probe_read.take(emitted)
+        erec = read_rec_a.take(eread)
         ecounts = np.bincount(erec, minlength=nrec)
         estarts = np.cumsum(ecounts) - ecounts
-        attempt = np.arange(erec.shape[0], dtype=np.int64) - estarts[erec]
-        self._cc_log.extend(
-            (t2[emit] << EDGE_SHIFT) | t1_probe[emit],
-            rec_rank[erec],
-            (attempt << EDGE_SHIFT) | (read_key_a[probe_read[emit]] + 1),
-        )
+        attempt = np.arange(emitted.shape[0], dtype=np.int64) - estarts.take(erec)
+        edges = t2.take(emitted) << EDGE_SHIFT
+        edges |= read_t1_a.take(eread)
+        attempt <<= EDGE_SHIFT
+        attempt |= read_key_a.take(eread) + 1
+        self._cc_log.extend(edges, rec_rank.take(erec), attempt)
 
     # -- finalize helpers --------------------------------------------------------
 
@@ -2937,7 +2953,8 @@ class CompiledIncrementalChecker:
         if self._join_vectorized or self._join_scalar:
             # Which clock-join implementation ran.  "fallback"/"mixed" is
             # normal on small session counts: join_clocks stays scalar
-            # below _MIN_JOIN_CELLS even with numpy on.
+            # below _MIN_JOIN_CELLS (64 cells, e.g. 8 sessions x 7 writers)
+            # even with numpy on.
             if not self._join_scalar:
                 stats["join_kernel"] = "vectorized"
             elif not self._join_vectorized:

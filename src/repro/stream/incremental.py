@@ -203,6 +203,10 @@ class IncrementalChecker:
         :class:`~repro.core.compiled.retire.RetiredAccessError`.
     """
 
+    #: What a failed :meth:`finalize` raised; every later call raises it
+    #: again.
+    _refusal: Optional[Exception] = None
+
     def __init__(
         self,
         levels: Optional[Sequence[IsolationLevel]] = None,
@@ -472,10 +476,30 @@ class IncrementalChecker:
         Unresolved reads become thin-air violations, the remaining frontiers
         drain, and the recorded commit-order edges are replayed in the batch
         algorithms' order so the returned results match the batch checkers.
-        Idempotent: subsequent calls return the same results.
+        Idempotent: subsequent calls return the same results.  Owned
+        (temporary) segment directories are deleted whether finalize returns
+        or raises -- a refusal such as ``RetiredAccessError`` included -- and
+        a refused checker raises the same refusal again on every later call.
         """
         if self._results is not None:
             return self._results
+        if self._refusal is not None:
+            raise self._refusal
+        try:
+            self._results = self._finalize()
+        except Exception as exc:
+            # The segments it needed may be gone now: never answer later.
+            self._refusal = exc
+            raise
+        finally:
+            if self._segments is not None:
+                # Owned (temporary) segment directories are deleted; an
+                # explicit --segment-dir keeps its segments as the user's
+                # archive.
+                self._segments.cleanup()
+        return self._results
+
+    def _finalize(self) -> Dict[IsolationLevel, CheckResult]:
         start = time.perf_counter()
 
         key_names = self._key_table.values
@@ -598,12 +622,9 @@ class IncrementalChecker:
                 and v not in self._live
             )
         self._retired_final = None
-        if self._segments is not None:
-            self._segments.cleanup()
         self._elapsed += time.perf_counter() - start
         for result in results.values():
             result.elapsed_seconds = self._elapsed
-        self._results = results
         return results
 
     # -- session bookkeeping ---------------------------------------------------

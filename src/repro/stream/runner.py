@@ -129,6 +129,12 @@ def _gc_collections() -> int:
     return sum(entry["collections"] for entry in gc.get_stats())
 
 
+def _drop_owned_segments(checker) -> None:
+    """Delete a checker's owned segment tempdir; a ``--segment-dir`` stays."""
+    if checker._segments is not None:
+        checker._segments.cleanup()
+
+
 def _resolve_stream_engine(engine: str) -> str:
     if engine not in STREAM_ENGINES:
         raise ValueError(
@@ -251,8 +257,12 @@ def check_stream_file(
         object_checker = IncrementalChecker(
             levels=(level,), max_witnesses=max_witnesses, retire=retire
         )
-        for batch in stream_raw_batches(path, fmt, batch_ops=batch_ops):
-            object_checker.append_batch(batch)
+        try:
+            for batch in stream_raw_batches(path, fmt, batch_ops=batch_ops):
+                object_checker.append_batch(batch)
+        except BaseException:
+            _drop_owned_segments(object_checker)
+            raise
         return object_checker.finalize()[level]
     if checkpoint_every < 1:
         raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
@@ -335,6 +345,12 @@ def check_stream_file(
                 if since_checkpoint >= checkpoint_every:
                     checker.save_checkpoint(checkpoint, source=source)
                     since_checkpoint = 0
+    except BaseException:
+        # A failed fold never finalizes, so its owned segment tempdir goes
+        # here -- unless a checkpoint may refer to it for a later resume.
+        if checkpoint is None:
+            _drop_owned_segments(checker)
+        raise
     finally:
         if gc_thresholds is not None:
             gc.set_threshold(*gc_thresholds)
@@ -379,10 +395,10 @@ def stream_live_stats(
     checker = CompiledIncrementalChecker(
         levels=tuple(levels) if levels is not None else None, retire=retire
     )
-    for batch in stream_raw_batches(path, fmt, batch_ops=batch_ops):
-        checker.append_batch(batch)
-    stats = checker.live_stats()
-    if checker._segments is not None:
+    try:
+        for batch in stream_raw_batches(path, fmt, batch_ops=batch_ops):
+            checker.append_batch(batch)
+        return checker.live_stats()
+    finally:
         # Stats-only run: never finalized, so drop owned segment tempdirs.
-        checker._segments.cleanup()
-    return stats
+        _drop_owned_segments(checker)

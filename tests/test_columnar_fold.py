@@ -110,6 +110,33 @@ class TestJoinClocks:
             kernels.join_clocks(hb, stride, sc, 0, rows, wsids, wsidxs)
         assert list(hb) == hb_before and list(sc) == sc_before
 
+    @needs_numpy
+    @pytest.mark.parametrize("stride", [8, 16, 32, 128])
+    @settings(deadline=None, max_examples=30)
+    @given(data=st.data())
+    def test_repeated_writer_sessions_bump_to_the_max(self, stride, data):
+        # The per-writer bump is a scalar loop on the joined row: a session
+        # that repeats in ``wsids`` with different ``wsidxs`` must end at
+        # the largest, in whatever order the repeats arrive.
+        nrows = data.draw(st.integers(1, 10))
+        def cells(n):
+            return array("q", data.draw(st.lists(st.integers(-1, 40), min_size=n, max_size=n)))
+
+        hb, sc = cells(nrows * stride), cells(stride)
+        rows = data.draw(st.lists(st.integers(0, nrows - 1), min_size=2, max_size=12))
+        session = data.draw(st.integers(0, stride - 1))
+        wsids = [session] * len(rows)
+        wsids[-1] = data.draw(st.integers(0, stride - 1))
+        wsidxs = data.draw(
+            st.lists(st.integers(0, 50), min_size=len(rows), max_size=len(rows), unique=True)
+        )
+        want = kernels._join_clocks_fallback(hb, stride, sc, 0, rows, wsids, wsidxs)
+        with join_floor(0):
+            row, vectorized = kernels.join_clocks(hb, stride, sc, 0, rows, wsids, wsidxs)
+        assert vectorized
+        assert list(row) == list(want)
+        assert row[session] >= max(w for s, w in zip(wsids, wsidxs) if s == session)
+
     def test_small_joins_stay_scalar(self):
         # 2 rows x 4 stride = 8 cells, far below _MIN_JOIN_CELLS: the
         # dispatch must keep the interpreted loop (fig9's 8-session shape
@@ -148,6 +175,179 @@ class TestJoinClocks:
             kernels._np = saved
         assert not vectorized
         assert row[0] == 9 and all(v == 7 for v in row[1:])
+
+
+# -- WriterProbeIndex: the CC probe flush's writer-registry view ---------------
+
+
+class _Registry:
+    """The CC writer registry and a brute-force model of its probe answers.
+
+    Rows append in arrival order with ascending session indices (and tids)
+    per bucket, as the fold registers them; ``num_buckets`` may exceed the
+    buckets that hold rows, so probes also hit empty buckets.
+    """
+
+    def __init__(self, num_buckets):
+        self.num_buckets = num_buckets
+        self.wb_bucket, self.wb_sidx, self.wb_tid = array("q"), array("q"), array("q")
+        self.rows = [[] for _ in range(num_buckets)]  # (sidx, tid) per bucket
+        self.next_tid = 0
+        self.index = kernels.WriterProbeIndex()
+
+    def append(self, bucket, gap):
+        rows = self.rows[bucket]
+        sidx = (rows[-1][0] if rows else -1) + gap
+        rows.append((sidx, self.next_tid))
+        self.wb_bucket.append(bucket)
+        self.wb_sidx.append(sidx)
+        self.wb_tid.append(self.next_tid)
+        self.next_tid += 1
+
+    def sync(self):
+        self.index.sync(self.wb_bucket, self.wb_sidx, self.wb_tid, self.num_buckets)
+
+    def retire(self, new_base):
+        """What ``_compact_registry`` does: keep each bucket's last retired row."""
+        self.sync()
+        removed = {}
+        for bucket, rows in enumerate(self.rows):
+            retired = sum(1 for _, tid in rows if tid < new_base)
+            if retired > 1:
+                del rows[: retired - 1]
+                removed[bucket] = retired - 1
+        self.wb_bucket, self.wb_sidx, self.wb_tid = kernels.compact_writer_registry(
+            self.wb_bucket, self.wb_sidx, self.wb_tid, removed, self.num_buckets
+        )
+        self.index.drop_retired(new_base, len(self.wb_tid))
+
+    def check(self, probes):
+        import numpy as np
+
+        self.sync()
+        bucket = np.asarray([b for b, _ in probes], dtype=np.int64)
+        bound = np.asarray([v for _, v in probes], dtype=np.int64)
+        has, t2 = self.index.probe(bucket, bound)
+        for i, (b, v) in enumerate(probes):
+            under = [tid for sidx, tid in self.rows[b] if sidx <= v]
+            assert bool(has[i]) == bool(under), (b, v)
+            if under:
+                assert int(t2[i]) == under[-1], (b, v)
+
+
+@st.composite
+def registry_plans(draw):
+    num_buckets = draw(st.integers(1, 12))
+    bucket = st.integers(0, num_buckets - 1)
+    appends = st.lists(st.tuples(bucket, st.integers(1, 3)), min_size=1, max_size=40)
+    probe = st.tuples(bucket, st.integers(-1, 130))
+    return (
+        num_buckets,
+        [draw(appends) for _ in range(3)],
+        draw(st.lists(probe, min_size=1, max_size=6)),
+        draw(st.floats(0.0, 1.0)),
+        draw(st.randoms(use_true_random=False)),
+    )
+
+
+@needs_numpy
+class TestWriterProbeIndex:
+    """``probe`` is "the latest writer with sidx <= bound in the bucket"."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(plan=registry_plans())
+    def test_probe_matches_brute_force(self, plan):
+        num_buckets, rounds, few, retire_at, rnd = plan
+        reg = _Registry(num_buckets)
+
+        def many():
+            # More probes than index rows: the tail merges into main first.
+            count = len(reg.wb_tid) + 1 + rnd.randrange(20)
+            return [
+                (rnd.randrange(num_buckets), rnd.randrange(-1, 130))
+                for _ in range(count)
+            ]
+
+        for b, gap in rounds[0]:
+            reg.append(b, gap)
+        reg.check(many())
+        assert reg.index.tail_comp.shape[0] == 0
+        for b, gap in rounds[1]:
+            reg.append(b, gap)
+        if len(few) < len(reg.wb_tid):
+            # Fewer probes than rows: main and the tail both answer.
+            reg.check(few)
+            assert reg.index.tail_comp.shape[0] > 0
+        reg.retire(int(reg.next_tid * retire_at))
+        for b, gap in rounds[2]:
+            reg.append(b, gap)
+        reg.check(few)
+        reg.check(many())
+        reg.check([(b, v) for b in range(num_buckets) for v in (-1, 0, 129)])
+
+    def test_long_buckets_finish_with_a_binary_search(self):
+        # A bucket longer than the backward scan's step budget.
+        reg = _Registry(3)
+        for _ in range(3 * kernels._PROBE_SCAN_STEPS):
+            reg.append(1, 2)
+        reg.check([(1, v) for v in range(-1, 6 * kernels._PROBE_SCAN_STEPS)] * 2)
+        reg.check([(0, 5), (2, 5), (1, 3)])
+
+
+def _blocked_records(history):
+    """Raw records session by session: the ``stream-k128`` arrival shape."""
+    return [
+        (sid, raw_of(history.transactions[tid]))
+        for sid, session in enumerate(history.sessions)
+        for tid in session
+    ]
+
+
+@needs_numpy
+class TestWideFlushParity:
+    """At k >= 64 the vectorized probe flush emits the scalar loop's rows."""
+
+    def _run(self, records, num_sessions, batch_ops, floor):
+        saved = kernels._MIN_VECTOR_READS
+        kernels._MIN_VECTOR_READS = floor
+        try:
+            checker = CompiledIncrementalChecker(
+                levels=(IsolationLevel.CAUSAL_CONSISTENCY,), num_sessions=num_sessions
+            )
+            checker.extend_raw(iter(records), batch_ops=batch_ops)
+            checker._flush_cc_probes()
+            log = checker._cc_log
+            rows = (list(log.edge), list(log.rank), list(log.sub))
+            result = checker.finalize()[IsolationLevel.CAUSAL_CONSISTENCY]
+        finally:
+            kernels._MIN_VECTOR_READS = saved
+        return (
+            result.is_consistent,
+            [v.message for v in result.violations],
+            result.stats.get("inferred_edges"),
+            result.stats.get("co_edges"),
+            rows,
+        ), result.stats["saturation_kernel"]
+
+    @pytest.mark.parametrize("sessions", [64, 128])
+    @pytest.mark.parametrize("kind", [None] + list(INJECTABLE_ANOMALIES), ids=str)
+    def test_vectorized_and_scalar_flushes_agree(self, sessions, kind):
+        history = generate_random_history(
+            RandomHistoryConfig(
+                num_sessions=sessions, num_transactions=4 * sessions, num_keys=24, seed=11
+            )
+        )
+        if kind is not None:
+            history = inject_anomaly(history, kind)
+        records = _blocked_records(history)
+        for batch_ops in (64, 4096):
+            vectorized, used = self._run(records, history.num_sessions, batch_ops, 0)
+            assert used == "vectorized"
+            scalar, used = self._run(records, history.num_sessions, batch_ops, 1 << 62)
+            assert used == "fallback"
+            assert vectorized == scalar
+            # Non-vacuous: the flush really emitted CC edges.
+            assert vectorized[4][0]
 
 
 class TestParkQueue:

@@ -25,11 +25,12 @@ from repro.core.compiled.retire import (
     FLAG_OWN_GOOD,
     RetiredAccessError,
     RetirementPolicy,
+    SegmentStore,
     low_watermark,
     read_segment,
     stable_digest,
 )
-from repro.core.exceptions import HistoryFormatError
+from repro.core.exceptions import HistoryFormatError, ParseError
 from repro.histories.formats import plume_text
 from repro.core.model import History, Transaction, read, write
 from repro.histories.generator import (
@@ -544,6 +545,75 @@ class TestRetireRefusal:
         assert_identical(got, want)
 
 
+class TestOwnedSegmentCleanup:
+    """``--retire`` without ``--segment-dir`` leaves no tempdir behind.
+
+    ``tempfile.tempdir`` points at ``tmp_path``, so every owned
+    ``awdit-segments-*`` directory lands where the test can see it.
+    """
+
+    @pytest.fixture
+    def owned_dirs(self, tmp_path, monkeypatch):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        return lambda: sorted(tmp_path.glob("awdit-segments-*"))
+
+    @pytest.mark.parametrize("engine", ["compiled", "object"])
+    def test_refused_finalize_deletes_owned_segments(self, owned_dirs, engine):
+        history = single_session_history(
+            [[write("x", 1)], [write("x", 2)]], 400, [[read("x", 1)]]
+        )
+        policy = RetirementPolicy(lag=32, every=8)
+        records = arrival_records(history, range(len(history.transactions)))
+        if engine == "compiled":
+            checker = CompiledIncrementalChecker(num_sessions=1, retire=policy)
+            for sid, txn in records:
+                checker.append_raw(sid, *raw_of(txn))
+        else:
+            checker = IncrementalChecker(num_sessions=1, retire=policy)
+            for sid, txn in records:
+                checker.append(sid, txn)
+        assert owned_dirs()  # retirement really wrote segments
+        with pytest.raises(RetiredAccessError):
+            checker.finalize()
+        assert owned_dirs() == []
+        # The segments are gone, so a retry must refuse again, not answer.
+        with pytest.raises(RetiredAccessError):
+            checker.finalize()
+
+    @pytest.mark.parametrize("engine", ["compiled", "object"])
+    def test_parse_error_mid_stream_deletes_owned_segments(
+        self, tmp_path, monkeypatch, owned_dirs, engine
+    ):
+        history, order = generate_random_stream(
+            RandomHistoryConfig(
+                num_sessions=4, num_transactions=600, num_keys=30, seed=13
+            )
+        )
+        source = tmp_path / "h.plume"
+        source.write_text(plume_text.dumps(history, order=order) + "not a plume line\n")
+        written = []
+        real_write = SegmentStore.write
+
+        def spy(store, *args, **kwargs):
+            written.append(store.directory)
+            return real_write(store, *args, **kwargs)
+
+        monkeypatch.setattr(SegmentStore, "write", spy)
+        with pytest.raises(ParseError):
+            check_stream_file(
+                str(source),
+                IsolationLevel.CAUSAL_CONSISTENCY,
+                fmt="plume",
+                engine=engine,
+                batch_ops=64,
+                retire=RetirementPolicy(lag=32, every=8),
+            )
+        assert written  # segments were written before the bad line
+        assert owned_dirs() == []
+
+
 class TestRetireMemoryBounded:
     def test_resident_state_stays_bounded(self):
         history, order = generate_random_stream(
@@ -567,13 +637,14 @@ class TestRetireMemoryBounded:
         assert stats["post_compaction_peak_resident"] <= bound
         assert_identical(checker.finalize(), run_compiled(history, order)[0])
 
-    def test_object_checker_resident_state_stays_bounded(self):
+    def test_object_checker_resident_state_stays_bounded(self, tmp_path):
         history, order = generate_random_stream(
             RandomHistoryConfig(
                 num_sessions=4, num_transactions=2000, num_keys=40, seed=3
             )
         )
-        policy = RetirementPolicy(lag=128, every=32)
+        # Never finalized, so the segments go under tmp_path.
+        policy = RetirementPolicy(lag=128, every=32, segment_dir=str(tmp_path))
         checker = IncrementalChecker(
             num_sessions=history.num_sessions, retire=policy
         )
